@@ -260,9 +260,10 @@ func BenchmarkFigure7_QError_AEOLUSOnline(b *testing.B) { benchmarkFigure7(b, "a
 
 // --- Ablation: reader strategy crossover ---
 
-// BenchmarkAblationReaderCrossover forces both reader strategies on a
-// selective and a non-selective filter, reporting the block I/O of each —
-// the crossover that motivates dynamic reader selection.
+// BenchmarkAblationReaderCrossover forces both reader bodies (one-pass and
+// staged) on a selective and a non-selective conjunction, reporting the
+// block I/O of each — the gap the staged reader and its estimated column
+// order earn as selectivity varies.
 func BenchmarkAblationReaderCrossover(b *testing.B) {
 	env := benchEnv(b, "stats")
 	exec, err := env.Engine("bytecard")

@@ -93,12 +93,6 @@ type Options struct {
 	// BYTECARD_BATCH_THRESHOLD, then the engine default (2); negative
 	// disables batching.
 	BatchThreshold int
-	// Pushdown controls the pushdown scan contract (zone-map block
-	// skipping, predicate/projection/limit pushdown, late
-	// materialization). Zero defers to the BYTECARD_PUSHDOWN environment
-	// variable, then the engine default (on); negative disables pushdown,
-	// restoring the pre-contract scan path byte for byte.
-	Pushdown int
 	// ResidualCorrection enables the online residual corrector: executed
 	// queries feed (estimate, truth) pairs into a per-template
 	// multiplicative correction applied on top of BN/FactorJoin estimates
@@ -252,7 +246,6 @@ func OpenDataset(ds *datagen.Dataset, opts Options) (*System, error) {
 	sys.Engine = engine.New(ds.DB, ds.Schema, est)
 	sys.Engine.Parallelism = opts.Parallelism
 	sys.Engine.BatchThreshold = opts.BatchThreshold
-	sys.Engine.Pushdown = opts.Pushdown
 	sys.Engine.Obs = obs.NewEngineMetrics()
 	if b := planCacheBudget(opts.PlanCacheBytes); b >= 0 {
 		pc := engine.NewPlanCache(b)

@@ -28,32 +28,18 @@ func main() {
 		estimator   = flag.String("estimator", "bytecard", "optimizer estimator: bytecard, sketch, sample, heuristic")
 		parallelism = flag.Int("parallelism", 0, "executor worker count (0 = BYTECARD_PARALLELISM env, then GOMAXPROCS; 1 = sequential)")
 		residualFl  = flag.Bool("residual", false, "enable the online residual corrector (executed truth feeds back into estimates; also BYTECARD_RESIDUAL=1)")
-		pushdown    = flag.Bool("pushdown", true, "enable the pushdown scan contract: zone-map block skipping, predicate/projection/limit pushdown (also BYTECARD_PUSHDOWN)")
 	)
 	flag.Parse()
-	// The pushdown knob is tri-state at the Options level: 0 defers to
-	// BYTECARD_PUSHDOWN, so only an explicit -pushdown flag pins it.
-	pd := 0
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "pushdown" {
-			if *pushdown {
-				pd = 1
-			} else {
-				pd = -1
-			}
-		}
-	})
-	if err := run(*dataset, *scale, *seed, *estimator, *parallelism, *residualFl, pd); err != nil {
+	if err := run(*dataset, *scale, *seed, *estimator, *parallelism, *residualFl); err != nil {
 		fmt.Fprintln(os.Stderr, "bytehouse-cli:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset string, scale float64, seed int64, estimator string, parallelism int, residualOn bool, pd int) error {
+func run(dataset string, scale float64, seed int64, estimator string, parallelism int, residualOn bool) error {
 	fmt.Printf("opening %s (scale %.3g) and training ByteCard models...\n", dataset, scale)
 	sys, err := bytecard.Open(bytecard.Options{
 		Dataset: dataset, Scale: scale, Seed: seed, Estimator: estimator, Parallelism: parallelism,
-		Pushdown:           pd,
 		ResidualCorrection: residualOn,
 		RBX:                rbx.TrainConfig{Columns: 200, Epochs: 8, MaxPop: 30000, Seed: seed + 9},
 	})

@@ -1,8 +1,8 @@
-// Materialization: demonstrates how ByteCard's selectivity estimates drive
-// the engine's reader choice — the multi-stage reader (staged, late
-// materialization) for selective conjunctions versus the single-stage
-// reader for non-selective ones — and measures the block I/O difference,
-// the mechanism behind the paper's Figure 6a.
+// Materialization: demonstrates the engine's staged reader (late
+// materialization, zone-map block skipping, column order taken from
+// ByteCard's selectivity estimates for selective conjunctions) against the
+// one-pass reader the ForceReader ablation pins, and measures the block
+// I/O difference, the mechanism behind the paper's Figure 6a.
 //
 //	go run ./examples/materialization
 package main
@@ -46,24 +46,18 @@ func main() {
 		fmt.Printf("\n%s:\n  %s\n  -> %d rows, strategy=%s, %d blocks read\n",
 			q.label, q.sql, count, res.Metrics.ReaderStrategy["posts"], res.Metrics.IO.BlocksRead())
 
-		// Force the opposite strategy to show the I/O delta.
-		forced := "single-stage"
-		if res.Metrics.ReaderStrategy["posts"] == "single-stage" {
-			forced = "multi-stage"
-		}
-		sys.Engine.ForceReader = forced
+		// Pin the one-pass reader to show the I/O delta.
+		sys.Engine.ForceReader = "single-stage"
 		alt, err := sys.Run(q.sql)
 		sys.Engine.ForceReader = ""
 		if err != nil {
-			// multi-stage requires conjunctive filters; skip politely.
-			fmt.Printf("  (forced %s unavailable: %v)\n", forced, err)
-			continue
+			log.Fatal(err)
 		}
 		altCount, _ := alt.ScalarInt()
 		if altCount != count {
-			log.Fatalf("strategies disagree: %d vs %d", count, altCount)
+			log.Fatalf("readers disagree: %d vs %d", count, altCount)
 		}
-		fmt.Printf("  forced %-12s -> same result, %d blocks read\n", forced, alt.Metrics.IO.BlocksRead())
+		fmt.Printf("  forced single-stage -> same result, %d blocks read\n", alt.Metrics.IO.BlocksRead())
 	}
 
 	fmt.Println("\nColumn-order selection: the optimizer orders predicate columns by")

@@ -27,13 +27,14 @@ const FeatureDim = 8
 // Featurize encodes the optimizer's view of a plan: the signals available
 // before execution.
 func Featurize(p *engine.Plan) []float64 {
-	var scanRows, multiStage, predCols float64
+	// ordered counts the scans whose column order the estimator chose —
+	// the selective conjunctions.
+	var scanRows, ordered float64
 	for _, sp := range p.Scans {
 		scanRows += sp.EstRows
-		if sp.Strategy == "multi-stage" {
-			multiStage++
+		if len(sp.ColOrder) > 0 {
+			ordered++
 		}
-		predCols += float64(len(sp.ColOrder))
 	}
 	var baseRows float64
 	for _, t := range p.Query.Tables {
@@ -46,7 +47,7 @@ func Featurize(p *engine.Plan) []float64 {
 		math.Log1p(baseRows),
 		math.Log1p(p.EstFinalRows),
 		math.Log1p(float64(p.AggCapacity)),
-		multiStage,
+		ordered,
 		float64(len(p.Query.GroupBy)),
 	}
 }

@@ -18,9 +18,10 @@ import (
 // Default tuning knobs.
 const (
 	// DefaultReaderThreshold is the overall-selectivity fraction below
-	// which the optimizer picks the multi-stage reader (selective
-	// predicates benefit from staged, late materialization; non-selective
-	// ones would re-read most blocks per stage).
+	// which the optimizer orders a conjunction's columns by the
+	// estimator's conditional selectivities for the staged reader (the
+	// order pays off when the first stages prune most rows; unselective
+	// conjunctions keep filter order and spare the estimator calls).
 	DefaultReaderThreshold = 0.15
 	// DefaultAggCapacity is the cold-start aggregation hash-table
 	// capacity used when NDV presizing is disabled.
@@ -46,23 +47,23 @@ type Engine struct {
 	Schema *catalog.Schema
 	Est    CardEstimator
 
-	// ReaderThreshold overrides DefaultReaderThreshold when positive.
-	ReaderThreshold float64
 	// AggCapacity overrides DefaultAggCapacity when positive.
 	AggCapacity int
 	// DisableNDVPresize forces cold-start aggregation tables (the
 	// "without ByteCard" configuration of Figure 6b).
 	DisableNDVPresize bool
-	// ForceReader pins the materialization strategy for every scan:
-	// "single-stage" or "multi-stage" (ablation hook); empty selects
-	// dynamically.
+	// ForceReader pins the reader body for every scan (ablation hook):
+	// "single-stage" runs the one-pass reader even for conjunctions;
+	// "multi-stage" also orders the columns of unselective conjunctions.
+	// Empty stages every conjunction. Queries plan cache-free while it is
+	// set.
 	ForceReader string
 	// DisableSIP turns off sideways information passing (ablation hook).
 	DisableSIP bool
 	// Parallelism is the executor's worker count for morsel-driven scans,
 	// hash-join probes, and aggregation. Zero takes the BYTECARD_PARALLELISM
-	// environment variable if set, else runtime.GOMAXPROCS(0); 1 forces the
-	// sequential path.
+	// environment variable if set, else runtime.GOMAXPROCS(0); 1 runs every
+	// operator as a serial loop.
 	Parallelism int
 	// BatchThreshold is the minimum join-order DP rank size (newly
 	// reachable subsets) for which the planner hands the rank to a
@@ -71,13 +72,6 @@ type Engine struct {
 	// machinery's. Zero takes BYTECARD_BATCH_THRESHOLD if set, else
 	// DefaultBatchThreshold; negative disables batching entirely.
 	BatchThreshold int
-	// Pushdown selects the pushed-down scan path (zone-map block skipping,
-	// vectorized predicate evaluation, projection/limit pushdown). Zero
-	// takes BYTECARD_PUSHDOWN if set, else on; positive forces on;
-	// negative forces off (the legacy readers, byte-identical to pre-
-	// pushdown behavior). ForceReader pins the legacy readers regardless,
-	// so strategy-ablation comparisons stay meaningful.
-	Pushdown int
 	// Obs, when set, accumulates query volume, planning/execution latency,
 	// and the q-error of each plan's final cardinality estimate against
 	// the executed truth.
@@ -100,13 +94,6 @@ type Engine struct {
 // skipped).
 func New(db *storage.Database, schema *catalog.Schema, est CardEstimator) *Engine {
 	return &Engine{DB: db, Schema: schema, Est: est}
-}
-
-func (e *Engine) readerThreshold() float64 {
-	if e.ReaderThreshold > 0 {
-		return e.ReaderThreshold
-	}
-	return DefaultReaderThreshold
 }
 
 func (e *Engine) defaultAggCapacity() int {
@@ -139,27 +126,6 @@ var envBatchThreshold = sync.OnceValue(func() (v int) {
 	}
 	return 0
 })
-
-// envPushdown reads BYTECARD_PUSHDOWN once: "0"/"false"/"off" disables,
-// "1"/"true"/"on" enables, anything else (or unset) leaves the default.
-var envPushdown = sync.OnceValue(func() int {
-	switch os.Getenv("BYTECARD_PUSHDOWN") {
-	case "0", "false", "off":
-		return -1
-	case "1", "true", "on":
-		return 1
-	}
-	return 0
-})
-
-// pushdownOn resolves whether scans take the pushed-down path (default on).
-func (e *Engine) pushdownOn() bool {
-	v := e.Pushdown
-	if v == 0 {
-		v = envPushdown()
-	}
-	return v >= 0
-}
 
 // batchThreshold resolves the minimum batched rank size.
 func (e *Engine) batchThreshold() int {

@@ -287,13 +287,14 @@ func TestReaderStrategySelection(t *testing.T) {
 	if res.Metrics.ReaderStrategy["fact"] != "multi-stage" {
 		t.Errorf("selective conj strategy = %s, want multi-stage", res.Metrics.ReaderStrategy["fact"])
 	}
-	// No filter → single-stage.
+	// No filter → the staged path with no stages, which reads nothing up
+	// front.
 	res, err = e.Run("SELECT COUNT(*) FROM fact")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.ReaderStrategy["fact"] != "single-stage" {
-		t.Errorf("no-filter strategy = %s, want single-stage", res.Metrics.ReaderStrategy["fact"])
+	if res.Metrics.ReaderStrategy["fact"] != "multi-stage" {
+		t.Errorf("no-filter strategy = %s, want multi-stage", res.Metrics.ReaderStrategy["fact"])
 	}
 	// OR filter → single-stage.
 	res, err = e.Run("SELECT COUNT(*) FROM fact WHERE val = 3 OR flag = 0")

@@ -22,8 +22,8 @@ type scanState struct {
 	rows    []int32
 	readers map[string]*storage.Reader
 	io      *storage.IOStats
-	// mu guards readers during parallel phases; sequential code (which
-	// never overlaps a parallel phase) uses reader/value lock-free.
+	// mu guards readers while concurrent workers create siblings; a lone
+	// worker and the serial operators use reader/value lock-free.
 	mu sync.Mutex
 }
 
@@ -101,10 +101,7 @@ func (e *Engine) ExecuteTraced(p *Plan, tr *obs.Trace) (*Result, error) {
 		res = e.executeProjection(q, states, inter)
 	} else {
 		aggStart := time.Now()
-		res, err = e.executeAggregation(q, p, states, inter, &m, ex)
-		if err != nil {
-			return nil, err
-		}
+		res = e.executeAggregation(q, p, states, inter, &m, ex)
 		ex.span(obs.OpExecAgg, nil, ex.workers, int64(len(res.Rows)), time.Since(aggStart))
 	}
 	m.ScanBlocks = map[string]ScanBlockStats{}
@@ -165,19 +162,19 @@ func neededColumns(q *Query, idx int) []string {
 	return out
 }
 
-// executeScan applies the table filter with the planned reader strategy.
-// limit, when positive, lets a pushed-down scan stop after that many
-// matches (single-table projection queries only — the caller guarantees
-// the scan's output is the query's output).
+// executeScan applies the table filter through the body sp.Strategy
+// names: "multi-stage" is the staged storage.BlockScan, anything else the
+// one-pass reader. limit, when positive, lets the staged scan stop after
+// that many matches (single-table projection queries only — the caller
+// guarantees the scan's output is the query's output).
 func (e *Engine) executeScan(q *Query, sp *ScanPlan, m *Metrics, ex *execCtx, limit int) (*scanState, error) {
 	t := q.Tables[sp.TableIdx]
 	st := &scanState{t: t, readers: map[string]*storage.Reader{}, io: m.IO}
-	n := t.Table.NumRows()
-
-	switch {
-	case sp.Pushdown:
+	if sp.Strategy == "multi-stage" {
 		start := time.Now()
-		e.pushdownScan(st, sp, n, limit, ex)
+		if err := stagedScan(st, sp, limit, ex); err != nil {
+			return nil, err
+		}
 		if ex.tr.Active() {
 			skipped := 0
 			//bytecard:unordered-ok commutative integer sum over the scan's readers
@@ -191,82 +188,88 @@ func (e *Engine) executeScan(q *Query, sp *ScanPlan, m *Metrics, ex *execCtx, li
 				Duration: time.Since(start),
 			})
 		}
-	case sp.Strategy == "multi-stage":
-		if err := e.multiStageScan(st, sp, n, ex); err != nil {
-			return nil, err
-		}
-	default:
-		e.singleStageScan(q, st, sp, n, ex)
+	} else {
+		onePassScan(q, st, sp, ex)
 	}
 	m.RowsMaterialized += int64(len(st.rows))
 	return st, nil
 }
 
-// pushdownScan routes one table scan through the storage.BlockScan
-// contract. Only the constrained columns are handed to storage (projection
-// pushdown: unreferenced columns are never read here), zone maps prune
-// whole blocks before any charge, and survivors come back as a selection
-// vector — downstream operators materialize lazily through the shared-
-// charge readers. Block decisions are block-local, so the morsel-parallel
-// form reads and skips exactly the blocks the sequential form does.
-func (e *Engine) pushdownScan(st *scanState, sp *ScanPlan, n, limit int, ex *execCtx) {
-	preds, _ := st.t.Filter.Conjunction() // planScan sets Pushdown only for conjunctions
+// stagedScan routes one table scan through the storage.BlockScan contract
+// in the planned column order. Only the constrained columns are handed to
+// storage (projection pushdown: unreferenced columns are never read here),
+// zone maps prune whole blocks before any charge, and survivors come back
+// as a selection vector — downstream operators materialize lazily through
+// the shared-charge readers. Block decisions are block-local, so every
+// worker count reads and skips exactly the same blocks. A LIMIT scan runs
+// as one serial chunk so it can stop at the limit-th match.
+func stagedScan(st *scanState, sp *ScanPlan, limit int, ex *execCtx) error {
+	preds, ok := st.t.Filter.Conjunction()
+	if !ok {
+		return fmt.Errorf("engine: multi-stage reader requires a conjunctive filter")
+	}
+	n := st.t.Table.NumRows()
 	if len(preds) == 0 {
 		if limit > 0 && limit < n {
 			n = limit
 		}
-		st.rows = allRows(n)
-		return
+		st.rows = rowRange(0, n)
+		return nil
 	}
-	col := st.t.Table.ColByName
-	constraints := expr.BuildConstraints(preds, func(c string, d types.Datum) (float64, bool) {
+	cols, cons := stagedConstraints(st.t, preds, sp.ColOrder)
+	opts := storage.ScanOptions{Constraints: cons, Limit: limit}
+	size := morselRows
+	if limit > 0 {
+		size = n
+	}
+	st.rows = ex.scanChunks(st, n, size, func(v *workerView, lo, hi int) []int32 {
+		readers := make([]*storage.Reader, len(cols))
+		for i, c := range cols {
+			readers[i] = v.reader(c)
+		}
+		return storage.BlockScan(readers, opts, lo, hi, nil)
+	})
+	return nil
+}
+
+// stagedConstraints compiles a conjunction into one constraint per
+// column, in the planned order (first appearance when none is planned).
+func stagedConstraints(t *QueryTable, preds []expr.Pred, order []string) ([]string, []expr.Constraint) {
+	col := t.Table.ColByName
+	cons := expr.BuildConstraints(preds, func(c string, d types.Datum) (float64, bool) {
 		return col(c).EncodeDatum(d)
 	})
-	byCol := map[string]expr.Constraint{}
-	for _, c := range constraints {
-		byCol[c.Col] = c
-	}
-	order := sp.ColOrder
 	if len(order) == 0 {
 		order = distinctCols(preds)
 	}
-	opts := storage.ScanOptions{Limit: limit}
+	byCol := map[string]expr.Constraint{}
+	for _, c := range cons {
+		byCol[c.Col] = c
+	}
 	cols := make([]string, 0, len(order))
+	ordered := make([]expr.Constraint, 0, len(order))
 	for _, c := range order {
-		cons, ok := byCol[c]
-		if !ok {
-			continue
+		if cc, ok := byCol[c]; ok {
+			cols = append(cols, c)
+			ordered = append(ordered, cc)
 		}
-		opts.Constraints = append(opts.Constraints, cons)
-		cols = append(cols, c)
 	}
-	if limit == 0 && ex.parallelFor(n, morselRows) {
-		st.rows = parallelPushdownScan(st, opts, cols, n, ex.workers)
-		return
-	}
-	readers := make([]*storage.Reader, len(cols))
-	for i, c := range cols {
-		readers[i] = st.reader(c)
-	}
-	st.rows = storage.BlockScan(readers, opts, 0, n, nil)
+	return cols, ordered
 }
 
-// singleStageScan loads every block of every touched column up front (early
-// materialization) and evaluates the full filter tree row-at-a-time,
-// splitting the row space into block-aligned morsels when the executor
-// runs parallel.
-func (e *Engine) singleStageScan(q *Query, st *scanState, sp *ScanPlan, n int, ex *execCtx) {
+// onePassScan is the one-pass reader (early materialization): each morsel
+// loads every block of every touched column — filter columns plus
+// downstream columns, since the reader constructs complete tuples
+// immediately — and evaluates the full filter tree row-at-a-time. No block
+// is skipped by zone map.
+func onePassScan(q *Query, st *scanState, sp *ScanPlan, ex *execCtx) {
 	filter := st.t.Filter
-	// Touch predicate columns plus downstream columns: the one-pass reader
-	// constructs complete tuples immediately.
 	seen := map[string]bool{}
 	var cols []string
-	if filter != nil {
-		for _, p := range filter.Leaves() {
-			if !seen[p.Col] {
-				seen[p.Col] = true
-				cols = append(cols, p.Col)
-			}
+	for _, p := range filter.Leaves() {
+		if !seen[p.Col] {
+			seen[p.Col] = true
+			cols = append(cols, p.Col)
 		}
 	}
 	for _, c := range neededColumns(q, sp.TableIdx) {
@@ -275,62 +278,12 @@ func (e *Engine) singleStageScan(q *Query, st *scanState, sp *ScanPlan, n int, e
 			cols = append(cols, c)
 		}
 	}
-	if filter == nil {
+	st.rows = ex.scanChunks(st, st.t.Table.NumRows(), morselRows, func(v *workerView, lo, hi int) []int32 {
 		for _, c := range cols {
-			st.reader(c).LoadAll()
+			v.reader(c).LoadRange(lo, hi)
 		}
-		st.rows = allRows(n)
-		return
-	}
-	if ex.parallelFor(n, morselRows) {
-		st.rows = parallelSingleStage(st, cols, n, ex.workers)
-		return
-	}
-	for _, c := range cols {
-		st.reader(c).LoadAll()
-	}
-	rows := make([]int32, 0, n/4+1)
-	for i := 0; i < n; i++ {
-		ii := int32(i)
-		ok := filter.Eval(func(_, col string) types.Datum { return st.value(col, ii) })
-		if ok {
-			rows = append(rows, ii)
-		}
-	}
-	st.rows = rows
-}
-
-// multiStageScan filters column by column in the planned order, touching
-// later columns only for candidate rows (the staged reader whose I/O wins
-// Figure 6a measures). Under parallel execution each worker runs the full
-// column order within its block-aligned morsel.
-func (e *Engine) multiStageScan(st *scanState, sp *ScanPlan, n int, ex *execCtx) error {
-	preds, ok := st.t.Filter.Conjunction()
-	if !ok {
-		return fmt.Errorf("engine: multi-stage reader requires a conjunctive filter")
-	}
-	col := st.t.Table.ColByName // shorthand
-	constraints := expr.BuildConstraints(preds, func(c string, d types.Datum) (float64, bool) {
-		return col(c).EncodeDatum(d)
+		return evalFilter(v, filter, rowRange(lo, hi))
 	})
-	byCol := map[string]expr.Constraint{}
-	for _, c := range constraints {
-		byCol[c.Col] = c
-	}
-	if ex.parallelFor(n, morselRows) {
-		st.rows = parallelMultiStage(st, sp.ColOrder, byCol, n, ex.workers)
-		return nil
-	}
-	st.rows = stageFilter(st.reader, sp.ColOrder, byCol, allRows(n))
-	return nil
-}
-
-func allRows(n int) []int32 {
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	return rows
 }
 
 // intermediate is a joined relation: tuples of row ids, one per table,
@@ -421,7 +374,8 @@ const sipFirstFraction = 0.25
 // columns are read first, non-joining rows are dropped, and only then are
 // the table's predicate columns read for the survivors — so a join order
 // that keeps intermediates small (good estimates) directly reduces block
-// I/O.
+// I/O. The survivors are filtered by the body sp.Strategy names: staged
+// column by column, or the full filter tree row-at-a-time.
 func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, conds []JoinCond, sip map[uint64]bool, m *Metrics, ex *execCtx) error {
 	sp := p.Scans[next]
 	t := q.Tables[next]
@@ -440,67 +394,38 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, c
 	states[next] = st
 	m.ReaderStrategy[t.Binding] = "sip+" + sp.Strategy
 
-	// Stage 0: key-membership probe over the whole key column(s), morsel
-	// parallel when the table is large enough.
-	var candidates []int32
-	if ex.parallelFor(n, morselRows) {
-		candidates = parallelSIPProbe(st, conds, sip, n, ex.workers)
-	} else {
+	// Stage 0: key-membership probe over the whole key column(s).
+	candidates := ex.scanChunks(st, n, morselRows, func(v *workerView, lo, hi int) []int32 {
 		keyReaders := make([]*storage.Reader, len(conds))
 		for k, c := range conds {
-			keyReaders[k] = st.reader(c.RightCol)
+			keyReaders[k] = v.reader(c.RightCol)
 		}
 		key := make([]types.Datum, len(conds))
-		candidates = make([]int32, 0, len(sip))
-		for i := 0; i < n; i++ {
+		var rows []int32
+		for i := lo; i < hi; i++ {
 			for k := range conds {
 				key[k] = keyReaders[k].Value(i)
 			}
 			if sip[hashKey(key)] {
-				candidates = append(candidates, int32(i))
+				rows = append(rows, int32(i))
 			}
 		}
-	}
+		return rows
+	})
 	m.SIPPruned += int64(n - len(candidates))
 
 	// Stage 1..k: the table's own filter over the surviving candidates,
 	// touching predicate-column blocks only where candidates remain.
-	filter := t.Filter
-	if filter == nil || len(candidates) == 0 {
-		st.rows = candidates
-		m.RowsMaterialized += int64(len(st.rows))
-		return nil
-	}
-	if preds, ok := filter.Conjunction(); ok {
-		col := t.Table.ColByName
-		constraints := expr.BuildConstraints(preds, func(c string, d types.Datum) (float64, bool) {
-			return col(c).EncodeDatum(d)
+	preds, _ := t.Filter.Conjunction()
+	if sp.Strategy == "multi-stage" && len(preds) > 0 {
+		cols, cons := stagedConstraints(t, preds, sp.ColOrder)
+		st.rows = ex.scanChunks(st, len(candidates), tupleChunk, func(v *workerView, lo, hi int) []int32 {
+			return stageFilter(v.reader, cols, cons, candidates[lo:hi])
 		})
-		order := sp.ColOrder
-		if len(order) == 0 {
-			order = distinctCols(preds)
-		}
-		byCol := map[string]expr.Constraint{}
-		for _, c := range constraints {
-			byCol[c.Col] = c
-		}
-		if ex.parallelFor(len(candidates), tupleChunk) {
-			st.rows = parallelStageFilterRows(st, order, byCol, candidates, ex.workers)
-		} else {
-			st.rows = stageFilter(st.reader, order, byCol, candidates)
-		}
 	} else {
-		if ex.parallelFor(len(candidates), tupleChunk) {
-			st.rows = parallelEvalFilterRows(st, filter, candidates, ex.workers)
-		} else {
-			kept := candidates[:0]
-			for _, row := range candidates {
-				if filter.Eval(func(_, col string) types.Datum { return st.value(col, row) }) {
-					kept = append(kept, row)
-				}
-			}
-			st.rows = kept
-		}
+		st.rows = ex.scanChunks(st, len(candidates), tupleChunk, func(v *workerView, lo, hi int) []int32 {
+			return evalFilter(v, t.Filter, candidates[lo:hi])
+		})
 	}
 	m.RowsMaterialized += int64(len(st.rows))
 	return nil
@@ -613,9 +538,8 @@ type joinEntry struct {
 
 // hashJoin joins the intermediate with one new table over the given
 // conditions (Left side = intermediate, Right side = new table). The build
-// side is constructed sequentially; the probe runs over tuple chunks in
-// parallel, with per-chunk output partitions concatenated in chunk order —
-// byte-identical to the sequential probe.
+// side is constructed serially; the probe runs over tuple chunks, with
+// per-chunk output partitions concatenated in chunk order.
 func hashJoin(q *Query, inter *intermediate, states []*scanState, next int, conds []JoinCond, bindingIdx map[string]int, m *Metrics, ex *execCtx) (*intermediate, error) {
 	st := states[next]
 
@@ -633,36 +557,11 @@ func hashJoin(q *Query, inter *intermediate, states []*scanState, next int, cond
 	for i, t := range out.tabs {
 		out.pos[t] = i
 	}
-	if ex.parallelFor(len(inter.tuples), tupleChunk) {
-		tuples, counts, ok := parallelProbe(inter, states, build, conds, bindingIdx, ex.workers)
-		if !ok {
-			return nil, fmt.Errorf("engine: join intermediate exceeds %d rows", int64(MaxIntermediateRows))
-		}
-		out.tuples, out.counts = tuples, counts
-		m.RowsMaterialized += int64(len(out.tuples))
-		return out, nil
+	tuples, counts, ok := probe(inter, states, build, conds, bindingIdx, ex)
+	if !ok {
+		return nil, fmt.Errorf("engine: join intermediate exceeds %d rows", int64(MaxIntermediateRows))
 	}
-	probeKey := make([]types.Datum, len(conds))
-	for ti, tuple := range inter.tuples {
-		for k, c := range conds {
-			lt := bindingIdx[c.LeftTab]
-			probeKey[k] = states[lt].value(c.LeftCol, tuple[inter.pos[lt]])
-		}
-		h := hashKey(probeKey)
-		for _, ent := range build[h] {
-			if !keysEqual(ent.key, probeKey) {
-				continue
-			}
-			combined := make([]int32, len(tuple)+1)
-			copy(combined, tuple)
-			combined[len(tuple)] = ent.row
-			out.tuples = append(out.tuples, combined)
-			out.counts = append(out.counts, inter.counts[ti])
-			if int64(len(out.tuples)) > MaxIntermediateRows {
-				return nil, fmt.Errorf("engine: join intermediate exceeds %d rows", int64(MaxIntermediateRows))
-			}
-		}
-	}
+	out.tuples, out.counts = tuples, counts
 	m.RowsMaterialized += int64(len(out.tuples))
 	return out, nil
 }
@@ -694,58 +593,24 @@ func keysEqual(a, b []types.Datum) bool {
 }
 
 // executeAggregation folds the joined relation through the aggregation
-// hash table (or a single accumulator when there is no GROUP BY). When the
-// executor runs parallel, workers accumulate into per-worker tables sized
-// from the NDV estimate divided by the worker count, then merge.
-func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inter *intermediate, m *Metrics, ex *execCtx) (*Result, error) {
+// hash table (or a single accumulator when there is no GROUP BY). Workers
+// accumulate into per-worker tables sized from the NDV estimate divided by
+// the worker count, then merge.
+func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inter *intermediate, m *Metrics, ex *execCtx) *Result {
 	res := &Result{}
 	for _, item := range q.Stmt.Items {
 		res.Columns = append(res.Columns, item.String())
 	}
 
-	fetch := func(ref ColRef, tuple []int32) types.Datum {
-		for k, ti := range inter.tabs {
-			if q.Tables[ti].Binding == ref.Tab {
-				return states[ti].value(ref.Col, tuple[k])
-			}
-		}
-		panic("engine: unresolved column " + ref.String())
-	}
-
 	if len(q.GroupBy) == 0 {
 		m.InitialAggCapacity = 0
-		var accs []aggAcc
-		if ex.parallelFor(len(inter.tuples), tupleChunk) {
-			accs = parallelGlobalAgg(q, states, inter, ex.workers)
-		} else {
-			accs = newAccs(q.Aggs)
-			for ti, tuple := range inter.tuples {
-				updateAccs(accs, q.Aggs, fetch, tuple, inter.counts[ti])
-			}
-		}
-		res.Rows = [][]types.Datum{buildOutputRow(q, nil, accs)}
-		return res, nil
+		res.Rows = [][]types.Datum{buildOutputRow(q, nil, globalAgg(q, states, inter, ex))}
+		return res
 	}
 
 	m.InitialAggCapacity = p.AggCapacity
-	var table *aggTable
-	if ex.parallelFor(len(inter.tuples), tupleChunk) {
-		var resizes int64
-		table, resizes = parallelGroupedAgg(q, p, states, inter, ex.workers)
-		m.HashResizes += resizes
-	} else {
-		table = newAggTable(p.AggCapacity)
-		key := make([]types.Datum, len(q.GroupBy))
-		for ti, tuple := range inter.tuples {
-			for i, g := range q.GroupBy {
-				key[i] = fetch(g, tuple)
-			}
-			accs := table.lookup(key, func() []aggAcc { return newAccs(q.Aggs) })
-			updateAccs(accs, q.Aggs, fetch, tuple, inter.counts[ti])
-		}
-		m.HashResizes += int64(table.resizes)
-	}
-
+	table, resizes := groupedAgg(q, p, states, inter, ex)
+	m.HashResizes += resizes
 	for _, slot := range table.slots {
 		if slot.used {
 			res.Rows = append(res.Rows, buildOutputRow(q, slot.key, slot.accs))
@@ -755,7 +620,15 @@ func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inte
 	if q.Limit > 0 && len(res.Rows) > q.Limit {
 		res.Rows = res.Rows[:q.Limit]
 	}
-	return res, nil
+	return res
+}
+
+// boundCol is a ColRef resolved against an intermediate: which tuple
+// position and table index to read.
+type boundCol struct {
+	pos int
+	tab int
+	col string
 }
 
 // executeProjection materializes the projected columns of the surviving

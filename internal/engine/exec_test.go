@@ -239,9 +239,10 @@ func TestTrueCardinalityRejectsNonScalar(t *testing.T) {
 	}
 }
 
-func TestSIPPrunesAndPreservesResults(t *testing.T) {
+// buildWideSmall is buildWide(4 blocks) plus a 200-row table "small" whose
+// t_ref joins a tiny slice of wide's t-domain.
+func buildWideSmall() *storage.Database {
 	ds := buildWide(storage.BlockSize * 4)
-	// Second table joins a tiny slice of wide's t-domain.
 	b := storage.NewBuilder("small", []storage.ColumnSpec{
 		{Name: "t_ref", Kind: types.KindInt64},
 		{Name: "w", Kind: types.KindInt64},
@@ -250,7 +251,11 @@ func TestSIPPrunesAndPreservesResults(t *testing.T) {
 		b.Append([]types.Datum{types.Int(int64(i % 3)), types.Int(int64(i))})
 	}
 	ds.Add(b.Build())
-	e := New(ds, catalog.NewSchema(), HeuristicEstimator{})
+	return ds
+}
+
+func TestSIPPrunesAndPreservesResults(t *testing.T) {
+	e := New(buildWideSmall(), catalog.NewSchema(), HeuristicEstimator{})
 	sql := "SELECT COUNT(*) FROM small, wide WHERE wide.t = small.t_ref AND wide.v < 400 AND small.w < 150"
 
 	withSIP, err := e.Run(sql)

@@ -100,14 +100,11 @@ type ExplainNode struct {
 	// Fallback marks nodes whose estimate came from the traditional
 	// estimator after a model failure.
 	Fallback bool `json:"fallback,omitempty"`
-	// Pushdown marks scan nodes routed through the storage BlockScan
-	// contract (zone-map skipping, vectorized filtering).
-	Pushdown bool `json:"pushdown,omitempty"`
 	// PredictedBlocks is the zone-map prediction of per-column blocks a
-	// pushed-down scan will charge: blocks whose zone ranges survive every
+	// staged scan will charge: blocks whose zone ranges survive every
 	// constraint, times the constrained-column count (an upper bound —
 	// staged filtering reads later columns only where survivors remain).
-	// Zero for non-pushdown scans and unconstrained filters.
+	// Zero for one-pass scans and unconstrained filters.
 	PredictedBlocks int `json:"predicted_blocks,omitempty"`
 	// ActualBlocks is the executed block-read count for the node's
 	// binding, filled by AnnotateExecution from a run's Metrics.
@@ -204,7 +201,6 @@ func (e *Engine) ExplainStmt(sql string, stmt *sqlparse.SelectStmt) (*ExplainRes
 			Strategy:        sp.Strategy,
 			ColOrder:        sp.ColOrder,
 			EstRows:         sp.EstRows,
-			Pushdown:        sp.Pushdown,
 			PredictedBlocks: predictedScanBlocks(t, sp),
 		}
 		if a, ok := attr[spanKey(obs.OpFilter, node.Tables)]; ok {
@@ -263,9 +259,9 @@ func (e *Engine) ExplainStmt(sql string, stmt *sqlparse.SelectStmt) (*ExplainRes
 // predictedScanBlocks evaluates the scan's constraints against the zone
 // maps at plan time: the number of blocks whose zone ranges every
 // constraint overlaps, times the constrained-column count — the blocks a
-// pushed-down scan will charge at most. Metadata only; nothing is read.
+// staged scan will charge at most. Metadata only; nothing is read.
 func predictedScanBlocks(t *QueryTable, sp *ScanPlan) int {
-	if !sp.Pushdown {
+	if sp.Strategy != "multi-stage" {
 		return 0
 	}
 	preds, ok := t.Filter.Conjunction()
@@ -328,9 +324,6 @@ func (r *ExplainResult) String() string {
 			fmt.Fprintf(&b, " col_order=%s", strings.Join(n.ColOrder, ","))
 		}
 		fmt.Fprintf(&b, " est_rows=%.1f", n.EstRows)
-		if n.Pushdown {
-			b.WriteString(" pushdown")
-		}
 		if n.PredictedBlocks > 0 {
 			fmt.Fprintf(&b, " pred_blocks=%d", n.PredictedBlocks)
 		}

@@ -13,20 +13,16 @@ import (
 // ScanPlan records the optimizer's materialization decision for one table.
 type ScanPlan struct {
 	TableIdx int
-	// Strategy is "single-stage" or "multi-stage".
+	// Strategy names the body the scan runs: "multi-stage" is the staged
+	// storage.BlockScan (conjunctive and empty filters), "single-stage"
+	// the one-pass reader (other filters, and the ForceReader ablation).
 	Strategy string
-	// ColOrder is the predicate-column order for the multi-stage reader.
+	// ColOrder is the estimator's predicate-column order for the staged
+	// reader, set for selective multi-column conjunctions; empty stages
+	// columns in filter order.
 	ColOrder []string
 	// EstRows is the estimated filtered row count.
 	EstRows float64
-	// Pushdown routes the scan through the storage.BlockScan contract
-	// (zone-map skipping, vectorized per-block filtering, late
-	// materialization). It is orthogonal to Strategy: the strategy label
-	// still records what the legacy readers would have chosen, and is what
-	// executes when Pushdown is false. Set only for conjunctive (or empty)
-	// filters when the engine's Pushdown knob is on and no ForceReader
-	// ablation pins the legacy readers.
-	Pushdown bool
 }
 
 // Plan is a fully optimized physical plan.
@@ -58,22 +54,15 @@ type Plan struct {
 // first: a hit replays the template's cached decisions onto q without a
 // single estimator call, and a miss publishes the freshly planned
 // decisions for the template's next sibling. Queries without an attached
-// statement (no template identity) always plan fresh.
+// statement (no template identity) always plan fresh, and so does every
+// query while a ForceReader ablation is set, so a pinned reader is neither
+// replayed from nor published to the cache.
 func (e *Engine) Plan(q *Query) (*Plan, error) {
 	var key string
-	if e.PlanCache != nil && q.Stmt != nil {
+	if e.PlanCache != nil && q.Stmt != nil && e.ForceReader == "" {
 		key = sqlparse.Normalize(q.Stmt)
 		if d, ok := e.PlanCache.Get(key); ok && len(d.scans) == len(q.Tables) {
 			p := d.apply(q)
-			// The cached bool carries the template's structural eligibility
-			// (conjunctive filter); the engine-local knob and ForceReader
-			// ablation re-gate it so a knob flip never replays a stale
-			// routing decision.
-			if e.ForceReader != "" || !e.pushdownOn() {
-				for _, sp := range p.Scans {
-					sp.Pushdown = false
-				}
-			}
 			p.CacheHit = true
 			return p, nil
 		}
@@ -92,7 +81,8 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 	return p, nil
 }
 
-// planScan chooses the reader strategy and predicate column order.
+// planScan chooses the reader body and, for selective multi-column
+// conjunctions, the estimator's predicate column order.
 func (e *Engine) planScan(q *Query, idx int) *ScanPlan {
 	t := q.Tables[idx]
 	sp := &ScanPlan{TableIdx: idx, Strategy: "single-stage"}
@@ -105,29 +95,22 @@ func (e *Engine) planScan(q *Query, idx int) *ScanPlan {
 		sp.EstRows = n
 	}
 	preds, isConj := t.Filter.Conjunction()
+	if !isConj || e.ForceReader == "single-stage" {
+		// The staged reader only decomposes conjunctions.
+		return sp
+	}
+	sp.Strategy = "multi-stage"
 	predCols := distinctCols(preds)
+	forced := e.ForceReader == "multi-stage"
 	switch {
-	case e.ForceReader != "":
-		sp.Strategy = e.ForceReader
-	case !isConj || len(predCols) < 2:
-		// OR trees and zero/one-column filters gain nothing from staging.
-		sp.Strategy = "single-stage"
-	case n > 0 && sp.EstRows/n < e.readerThreshold():
-		sp.Strategy = "multi-stage"
+	case len(predCols) >= 2 && (forced || n > 0 && sp.EstRows/n < DefaultReaderThreshold):
+		// Only a selective multi-column conjunction (or the forced
+		// ablation) pays for ordering its columns by conditional
+		// selectivity.
+		sp.ColOrder = e.orderPredColumns(t, preds, predCols)
+	case forced:
+		sp.ColOrder = predCols
 	}
-	if sp.Strategy == "multi-stage" {
-		switch {
-		case !isConj:
-			// The staged reader only decomposes conjunctions; downgrade
-			// even when forced.
-			sp.Strategy = "single-stage"
-		case len(predCols) >= 2:
-			sp.ColOrder = e.orderPredColumns(t, preds, predCols)
-		default:
-			sp.ColOrder = predCols
-		}
-	}
-	sp.Pushdown = isConj && e.ForceReader == "" && e.pushdownOn()
 	return sp
 }
 

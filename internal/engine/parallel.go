@@ -1,10 +1,13 @@
-// Morsel-driven parallel execution: each scan's row space is split into
+// Morsel-driven execution: each scan's row space is split into
 // block-aligned morsels dispatched to a worker pool, hash-join probes run
 // over tuple chunks with per-chunk output partitions concatenated in chunk
 // order, and aggregation accumulates into per-worker hash tables merged in
-// worker order. Workers read through sibling storage.Readers that share an
-// atomic block-charge set, so IOStats.BlocksRead is identical to the
-// sequential path; chunk-indexed outputs make Result rows byte-identical.
+// worker order. Every operator body runs only through par.Chunks or
+// par.Strided, whose one-worker case is a plain serial loop, so a small
+// input or Parallelism=1 takes the same body as a wide fan-out. Concurrent
+// workers read through sibling storage.Readers that share an atomic
+// block-charge set, so IOStats.BlocksRead is identical at any worker
+// count; chunk-indexed outputs make Result rows byte-identical.
 package engine
 
 import (
@@ -50,9 +53,17 @@ func (ex *execCtx) span(op string, tables []string, workers int, rows int64, d t
 	})
 }
 
-// parallelFor reports whether a phase over n items should run parallel.
-func (ex *execCtx) parallelFor(n, chunk int) bool {
-	return ex != nil && ex.workers > 1 && n > chunk
+// fanout is the worker count for a phase of chunks chunks: the query's
+// workers clamped to the chunk count, and never below one.
+func (ex *execCtx) fanout(chunks int) int {
+	w := ex.workers
+	if w > chunks {
+		w = chunks
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
 }
 
 // Chunk dispatch lives in internal/par (par.Chunks dynamic, par.Strided
@@ -69,10 +80,30 @@ func chunkBounds(n, size, c int) (int, int) {
 	return lo, hi
 }
 
-func numChunks(n, size int) int { return (n + size - 1) / size }
+// numChunks is the chunk count of n items; an empty input has none, even
+// when size is zero (a LIMIT scan's single chunk spans an empty table).
+func numChunks(n, size int) int {
+	if n <= 0 {
+		return 0
+	}
+	return (n + size - 1) / size
+}
 
-// concatRows concatenates chunk-indexed row lists in chunk order.
+// rowRange returns the row ids lo..hi-1.
+func rowRange(lo, hi int) []int32 {
+	rows := make([]int32, hi-lo)
+	for i := range rows {
+		rows[i] = int32(lo + i)
+	}
+	return rows
+}
+
+// concatRows concatenates chunk-indexed row lists in chunk order; a single
+// part is returned as is.
 func concatRows(parts [][]int32) []int32 {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	total := 0
 	for _, p := range parts {
 		total += len(p)
@@ -84,19 +115,46 @@ func concatRows(parts [][]int32) []int32 {
 	return out
 }
 
-// workerView is one worker's private window onto a scanState: sibling
-// readers (created under the state's lock, used lock-free afterwards) that
-// share the canonical readers' block-charge sets.
+// scanChunks runs body over the size-item chunks of n items of one table
+// through par.Chunks, handing each call its worker's view, and returns the
+// chunks' row ids concatenated in chunk order.
+func (ex *execCtx) scanChunks(st *scanState, n, size int, body func(v *workerView, lo, hi int) []int32) []int32 {
+	chunks := numChunks(n, size)
+	workers := ex.fanout(chunks)
+	views := make([]*workerView, workers)
+	for w := range views {
+		views[w] = newWorkerView(st, workers == 1)
+	}
+	parts := make([][]int32, chunks)
+	par.Chunks(workers, chunks, func(w, c int) {
+		lo, hi := chunkBounds(n, size, c)
+		parts[c] = body(views[w], lo, hi)
+	})
+	return concatRows(parts)
+}
+
+// workerView is one worker's window onto a scanState. A lone worker reads
+// the state's own readers; each of several concurrent workers reads
+// sibling readers (created under the state's lock, used lock-free
+// afterwards) that share the canonical readers' block-charge sets.
 type workerView struct {
-	st      *scanState
+	st *scanState
+	// readers holds the worker's siblings; nil means the lone worker
+	// reading st's own readers.
 	readers map[string]*storage.Reader
 }
 
-func newWorkerView(st *scanState) *workerView {
+func newWorkerView(st *scanState, solo bool) *workerView {
+	if solo {
+		return &workerView{st: st}
+	}
 	return &workerView{st: st, readers: map[string]*storage.Reader{}}
 }
 
 func (w *workerView) reader(col string) *storage.Reader {
+	if w.readers == nil {
+		return w.st.reader(col)
+	}
 	if r, ok := w.readers[col]; ok {
 		return r
 	}
@@ -114,38 +172,39 @@ func (w *workerView) value(col string, row int32) types.Datum {
 type multiView struct {
 	states []*scanState
 	views  []*workerView
+	solo   bool
 }
 
-func newMultiView(states []*scanState) *multiView {
-	return &multiView{states: states, views: make([]*workerView, len(states))}
+// multiViews returns one multiView per worker.
+func multiViews(states []*scanState, workers int) []*multiView {
+	out := make([]*multiView, workers)
+	for w := range out {
+		out[w] = &multiView{states: states, views: make([]*workerView, len(states)), solo: workers == 1}
+	}
+	return out
 }
 
 func (v *multiView) value(tab int, col string, row int32) types.Datum {
 	w := v.views[tab]
 	if w == nil {
-		w = newWorkerView(v.states[tab])
+		w = newWorkerView(v.states[tab], v.solo)
 		v.views[tab] = w
 	}
 	return w.value(col, row)
 }
 
-// stageFilter applies the staged (multi-stage reader) constraint order to
-// rows, filtering in place and touching each column's blocks only where
-// candidates remain. reader supplies the column readers — the canonical
-// scanState readers sequentially, a workerView's siblings in parallel.
-func stageFilter(reader func(string) *storage.Reader, order []string, byCol map[string]expr.Constraint, rows []int32) []int32 {
-	for _, c := range order {
-		cons, ok := byCol[c]
-		if !ok {
-			continue
-		}
-		if cons.Empty {
+// stageFilter applies the staged constraint order to rows, filtering in
+// place and touching each column's blocks only where candidates remain.
+// cons[i] constrains column cols[i].
+func stageFilter(reader func(string) *storage.Reader, cols []string, cons []expr.Constraint, rows []int32) []int32 {
+	for i, c := range cols {
+		if cons[i].Empty {
 			return nil
 		}
 		r := reader(c)
 		kept := rows[:0]
 		for _, row := range rows {
-			if cons.Contains(r.Numeric(int(row))) {
+			if cons[i].Contains(r.Numeric(int(row))) {
 				kept = append(kept, row)
 			}
 		}
@@ -157,134 +216,19 @@ func stageFilter(reader func(string) *storage.Reader, order []string, byCol map[
 	return rows
 }
 
-// parallelSingleStage is singleStageScan's morsel-parallel form: every
-// worker loads the blocks of its morsel for each touched column (the union
-// across morsels equals LoadAll) and evaluates the filter row-at-a-time.
-func parallelSingleStage(st *scanState, cols []string, n, workers int) []int32 {
-	filter := st.t.Filter
-	chunks := numChunks(n, morselRows)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, morselRows, c)
-		view := newWorkerView(st)
-		for _, col := range cols {
-			view.reader(col).LoadRange(lo, hi)
+// evalFilter keeps, in place, the rows satisfying the full filter tree
+// (nil keeps every row), evaluated row-at-a-time through v.
+func evalFilter(v *workerView, filter *expr.Node, rows []int32) []int32 {
+	if filter == nil {
+		return rows
+	}
+	kept := rows[:0]
+	for _, row := range rows {
+		if filter.Eval(func(_, col string) types.Datum { return v.value(col, row) }) {
+			kept = append(kept, row)
 		}
-		rows := make([]int32, 0, (hi-lo)/4+1)
-		for i := lo; i < hi; i++ {
-			ii := int32(i)
-			if filter.Eval(func(_, col string) types.Datum { return view.value(col, ii) }) {
-				rows = append(rows, ii)
-			}
-		}
-		parts[c] = rows
-	})
-	return concatRows(parts)
-}
-
-// parallelMultiStage is multiStageScan's morsel-parallel form: each worker
-// runs the full staged column order within its morsel. Filters are
-// row-local, so the surviving set — and the set of blocks holding
-// survivors, which is what later stages touch — is identical to the
-// sequential pass.
-func parallelMultiStage(st *scanState, order []string, byCol map[string]expr.Constraint, n, workers int) []int32 {
-	chunks := numChunks(n, morselRows)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, morselRows, c)
-		rows := make([]int32, hi-lo)
-		for i := range rows {
-			rows[i] = int32(lo + i)
-		}
-		view := newWorkerView(st)
-		parts[c] = stageFilter(view.reader, order, byCol, rows)
-	})
-	return concatRows(parts)
-}
-
-// parallelPushdownScan is pushdownScan's morsel-parallel form: each worker
-// runs storage.BlockScan over its block-aligned morsel through sibling
-// readers. Zone-map and charge decisions are block-local and the shared
-// charge/skip sets count each (column, block) once, so blocks read and
-// skipped — and the surviving rows, concatenated in chunk order — are
-// identical to the sequential scan at any worker count.
-func parallelPushdownScan(st *scanState, opts storage.ScanOptions, cols []string, n, workers int) []int32 {
-	chunks := numChunks(n, morselRows)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, morselRows, c)
-		view := newWorkerView(st)
-		readers := make([]*storage.Reader, len(cols))
-		for i, col := range cols {
-			readers[i] = view.reader(col)
-		}
-		parts[c] = storage.BlockScan(readers, opts, lo, hi, nil)
-	})
-	return concatRows(parts)
-}
-
-// parallelSIPProbe is the morsel-parallel key-membership stage of a
-// SIP-first scan: workers probe the shared read-only key set over their
-// morsels and emit surviving candidates in row order.
-func parallelSIPProbe(st *scanState, conds []JoinCond, sip map[uint64]bool, n, workers int) []int32 {
-	chunks := numChunks(n, morselRows)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, morselRows, c)
-		view := newWorkerView(st)
-		keyReaders := make([]*storage.Reader, len(conds))
-		for k, cond := range conds {
-			keyReaders[k] = view.reader(cond.RightCol)
-		}
-		key := make([]types.Datum, len(conds))
-		var rows []int32
-		for i := lo; i < hi; i++ {
-			for k := range conds {
-				key[k] = keyReaders[k].Value(i)
-			}
-			if sip[hashKey(key)] {
-				rows = append(rows, int32(i))
-			}
-		}
-		parts[c] = rows
-	})
-	return concatRows(parts)
-}
-
-// parallelStageFilterRows runs stageFilter over disjoint chunks of an
-// arbitrary candidate list (the SIP-first scan's later stages; candidates
-// are ascending but not block aligned — exactly-once charging is carried
-// by the shared charge sets).
-func parallelStageFilterRows(st *scanState, order []string, byCol map[string]expr.Constraint, candidates []int32, workers int) []int32 {
-	n := len(candidates)
-	chunks := numChunks(n, tupleChunk)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, tupleChunk, c)
-		view := newWorkerView(st)
-		parts[c] = stageFilter(view.reader, order, byCol, candidates[lo:hi])
-	})
-	return concatRows(parts)
-}
-
-// parallelEvalFilterRows evaluates an arbitrary filter tree over disjoint
-// chunks of a candidate list (the SIP-first scan's non-conjunctive tail).
-func parallelEvalFilterRows(st *scanState, filter *expr.Node, candidates []int32, workers int) []int32 {
-	n := len(candidates)
-	chunks := numChunks(n, tupleChunk)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, tupleChunk, c)
-		view := newWorkerView(st)
-		kept := candidates[lo:lo]
-		for _, row := range candidates[lo:hi] {
-			if filter.Eval(func(_, col string) types.Datum { return view.value(col, row) }) {
-				kept = append(kept, row)
-			}
-		}
-		parts[c] = kept
-	})
-	return concatRows(parts)
+	}
+	return kept
 }
 
 // probePart is one chunk's hash-join output partition.
@@ -293,22 +237,24 @@ type probePart struct {
 	counts []int64
 }
 
-// parallelProbe probes the shared read-only build table over chunks of the
+// probe probes the read-only build table over chunks of the
 // intermediate's tuples. Per-chunk partitions concatenated in chunk order
-// reproduce exactly the sequential probe's output order (the build side is
-// built sequentially, so per-key match order is identical too).
-func parallelProbe(inter *intermediate, states []*scanState, build map[uint64][]joinEntry, conds []JoinCond, bindingIdx map[string]int, workers int) ([][]int32, []int64, bool) {
+// reproduce the serial probe's output order (the build side is built
+// serially, so per-key match order is identical too). It reports false
+// when the output exceeds MaxIntermediateRows.
+func probe(inter *intermediate, states []*scanState, build map[uint64][]joinEntry, conds []JoinCond, bindingIdx map[string]int, ex *execCtx) ([][]int32, []int64, bool) {
 	n := len(inter.tuples)
 	chunks := numChunks(n, tupleChunk)
+	views := multiViews(states, ex.fanout(chunks))
 	parts := make([]probePart, chunks)
 	var total atomic.Int64
 	var overflow atomic.Bool
-	par.Chunks(workers, chunks, func(_, c int) {
+	par.Chunks(len(views), chunks, func(w, c int) {
 		if overflow.Load() {
 			return
 		}
 		lo, hi := chunkBounds(n, tupleChunk, c)
-		view := newMultiView(states)
+		view := views[w]
 		probeKey := make([]types.Datum, len(conds))
 		var part probePart
 		for ti := lo; ti < hi; ti++ {
@@ -340,12 +286,11 @@ func parallelProbe(inter *intermediate, states []*scanState, build map[uint64][]
 	if overflow.Load() {
 		return nil, nil, false
 	}
-	outN := 0
-	for i := range parts {
-		outN += len(parts[i].tuples)
+	if len(parts) == 1 {
+		return parts[0].tuples, parts[0].counts, true
 	}
-	tuples := make([][]int32, 0, outN)
-	counts := make([]int64, 0, outN)
+	tuples := make([][]int32, 0, total.Load())
+	counts := make([]int64, 0, total.Load())
 	for i := range parts {
 		tuples = append(tuples, parts[i].tuples...)
 		counts = append(counts, parts[i].counts...)
@@ -353,34 +298,26 @@ func parallelProbe(inter *intermediate, states []*scanState, build map[uint64][]
 	return tuples, counts, true
 }
 
-// parallelGroupedAgg accumulates the joined relation into per-worker
-// aggregation tables — each presized to the NDV estimate divided by the
-// worker count — then merges them in worker order. The per-table resize
-// counters (own growth plus merge-phase growth) sum into
+// groupedAgg accumulates the joined relation into per-worker aggregation
+// tables — each presized to the NDV estimate divided by the worker count —
+// then merges them into the first worker's table in worker order. The
+// per-table resize counters (own growth plus merge-phase growth) sum into
 // Metrics.HashResizes, keeping the presizing experiment meaningful under
 // parallelism.
-func parallelGroupedAgg(q *Query, p *Plan, states []*scanState, inter *intermediate, workers int) (*aggTable, int64) {
+func groupedAgg(q *Query, p *Plan, states []*scanState, inter *intermediate, ex *execCtx) (*aggTable, int64) {
 	n := len(inter.tuples)
 	chunks := numChunks(n, tupleChunk)
-	if workers > chunks {
-		workers = chunks
-	}
+	workers := ex.fanout(chunks)
 	perWorkerCap := p.AggCapacity / workers
-	bound := bindColumns(q, inter)
 	tables := make([]*aggTable, workers)
-	views := make([]*multiView, workers)
 	keys := make([][]types.Datum, workers)
+	for w := range tables {
+		tables[w] = newAggTable(perWorkerCap)
+		keys[w] = make([]types.Datum, len(q.GroupBy))
+	}
+	views := multiViews(states, workers)
 	par.Strided(workers, chunks, func(w, c int) {
-		if tables[w] == nil {
-			tables[w] = newAggTable(perWorkerCap)
-			views[w] = newMultiView(states)
-			keys[w] = make([]types.Datum, len(q.GroupBy))
-		}
-		table, view, key := tables[w], views[w], keys[w]
-		fetch := func(ref ColRef, tuple []int32) types.Datum {
-			bc := bound[ref]
-			return view.value(bc.tab, bc.col, tuple[bc.pos])
-		}
+		table, key, fetch := tables[w], keys[w], fetcher(q, inter, views[w])
 		lo, hi := chunkBounds(n, tupleChunk, c)
 		for ti := lo; ti < hi; ti++ {
 			tuple := inter.tuples[ti]
@@ -391,92 +328,50 @@ func parallelGroupedAgg(q *Query, p *Plan, states []*scanState, inter *intermedi
 			updateAccs(accs, q.Aggs, fetch, tuple, inter.counts[ti])
 		}
 	})
-	var final *aggTable
+	final := tables[0]
 	var resizes int64
-	for _, t := range tables {
-		if t == nil {
-			continue
-		}
-		if final == nil {
-			final = t
-			continue
-		}
+	for _, t := range tables[1:] {
 		resizes += int64(t.resizes)
 		final.absorb(t, q.Aggs)
-	}
-	if final == nil {
-		final = newAggTable(p.AggCapacity)
 	}
 	return final, resizes + int64(final.resizes)
 }
 
-// parallelGlobalAgg accumulates the no-GROUP-BY aggregates into per-worker
-// accumulator blocks merged in worker order.
-func parallelGlobalAgg(q *Query, states []*scanState, inter *intermediate, workers int) []aggAcc {
+// globalAgg accumulates the no-GROUP-BY aggregates into per-worker
+// accumulator blocks merged into the first worker's block in worker order.
+func globalAgg(q *Query, states []*scanState, inter *intermediate, ex *execCtx) []aggAcc {
 	n := len(inter.tuples)
 	chunks := numChunks(n, tupleChunk)
-	if workers > chunks {
-		workers = chunks
-	}
-	bound := bindColumns(q, inter)
+	workers := ex.fanout(chunks)
 	blocks := make([][]aggAcc, workers)
-	views := make([]*multiView, workers)
+	for w := range blocks {
+		blocks[w] = newAccs(q.Aggs)
+	}
+	views := multiViews(states, workers)
 	par.Strided(workers, chunks, func(w, c int) {
-		if blocks[w] == nil {
-			blocks[w] = newAccs(q.Aggs)
-			views[w] = newMultiView(states)
-		}
-		accs, view := blocks[w], views[w]
-		fetch := func(ref ColRef, tuple []int32) types.Datum {
-			bc := bound[ref]
-			return view.value(bc.tab, bc.col, tuple[bc.pos])
-		}
+		accs, fetch := blocks[w], fetcher(q, inter, views[w])
 		lo, hi := chunkBounds(n, tupleChunk, c)
 		for ti := lo; ti < hi; ti++ {
 			updateAccs(accs, q.Aggs, fetch, inter.tuples[ti], inter.counts[ti])
 		}
 	})
-	out := newAccs(q.Aggs)
-	for _, accs := range blocks {
-		if accs != nil {
-			mergeAccs(out, accs, q.Aggs)
-		}
+	out := blocks[0]
+	for _, accs := range blocks[1:] {
+		mergeAccs(out, accs, q.Aggs)
 	}
 	return out
 }
 
-// boundCol is a ColRef resolved against an intermediate: which tuple
-// position and table index to read, so parallel workers skip the per-row
-// binding search.
-type boundCol struct {
-	pos int
-	tab int
-	col string
-}
-
-// bindColumns resolves every group key and aggregate input against the
-// intermediate's tuple layout.
-func bindColumns(q *Query, inter *intermediate) map[ColRef]boundCol {
-	bound := map[ColRef]boundCol{}
-	resolve := func(ref ColRef) {
-		if _, ok := bound[ref]; ok {
-			return
-		}
+// fetcher returns a reader of group keys and aggregate inputs through
+// view, resolving each column's binding against the intermediate's few
+// tables.
+func fetcher(q *Query, inter *intermediate, view *multiView) func(ColRef, []int32) types.Datum {
+	return func(ref ColRef, tuple []int32) types.Datum {
 		for k, ti := range inter.tabs {
 			if q.Tables[ti].Binding == ref.Tab {
-				bound[ref] = boundCol{pos: k, tab: ti, col: ref.Col}
-				return
+				return view.value(ti, ref.Col, tuple[k])
 			}
 		}
 		panic("engine: unresolved column " + ref.String())
 	}
-	for _, g := range q.GroupBy {
-		resolve(g)
-	}
-	for _, a := range q.Aggs {
-		for _, c := range a.Cols {
-			resolve(c)
-		}
-	}
-	return bound
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // TestParallelMatchesSequential is the tentpole invariant: for every query
-// shape the executor supports, the morsel-driven parallel path must produce
-// byte-identical result rows and charge exactly the same block I/O as the
-// sequential path.
+// shape the executor supports, four workers must produce byte-identical
+// result rows and charge exactly the same block I/O as one worker, whose
+// operators run as serial loops.
 func TestParallelMatchesSequential(t *testing.T) {
 	datasets := map[string]*datagen.Dataset{
 		"imdb":  datagen.IMDB(datagen.Config{Scale: 0.2, Seed: 31}),
@@ -71,8 +71,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelForcedReaders re-runs a filter query under both pinned reader
-// strategies so the parallel single-stage and multi-stage scan paths are
-// each exercised explicitly.
+// strategies so the one-pass and staged scan bodies are each exercised
+// explicitly at one and four workers.
 func TestParallelForcedReaders(t *testing.T) {
 	ds := datagen.IMDB(datagen.Config{Scale: 0.2, Seed: 33})
 	sql := "SELECT COUNT(*) FROM cast_info ci WHERE ci.role_id = 2 AND ci.person_id < 500"

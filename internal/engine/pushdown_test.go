@@ -33,8 +33,8 @@ func tsWindow(ds *datagen.Dataset, loFrac, hiFrac float64) (int64, int64) {
 }
 
 // pushdownParityQueries covers every shape the contract routes differently:
-// zone-skippable windows, equality on strings, disjunctions (ineligible for
-// pushdown), grouped aggregation, projection, LIMIT, and joins.
+// zone-skippable windows, equality on strings, disjunctions (one-pass
+// only), grouped aggregation, projection, LIMIT, and joins.
 func pushdownParityQueries(t *testing.T, ds *datagen.Dataset) []string {
 	t.Helper()
 	lo, hi := tsWindow(ds, 0.40, 0.42)
@@ -59,23 +59,39 @@ func sameResult(a, b *Result) bool {
 	return reflect.DeepEqual(a.Columns, b.Columns) && reflect.DeepEqual(a.Rows, b.Rows)
 }
 
-// TestPushdownOnOffParity is the contract's correctness gate: with the
-// knob on and off, every query shape must produce byte-identical results.
-func TestPushdownOnOffParity(t *testing.T) {
+// TestStagedMatchesOnePass is the scan contract's correctness gate: every
+// query shape must produce byte-identical results through the staged
+// BlockScan (the default) and the one-pass reader (ForceReader
+// "single-stage"), both must match the brute-force oracle, and staging
+// must never read more blocks.
+func TestStagedMatchesOnePass(t *testing.T) {
 	e, ds := tsEngine(t, 0.05)
 	for _, sql := range pushdownParityQueries(t, ds) {
-		e.Pushdown = 1
-		on, err := e.Run(sql)
+		e.ForceReader = ""
+		staged, err := e.Run(sql)
 		if err != nil {
-			t.Fatalf("%s (pushdown on): %v", sql, err)
+			t.Fatalf("%s (staged): %v", sql, err)
 		}
-		e.Pushdown = -1
-		off, err := e.Run(sql)
+		e.ForceReader = "single-stage"
+		onePass, err := e.Run(sql)
 		if err != nil {
-			t.Fatalf("%s (pushdown off): %v", sql, err)
+			t.Fatalf("%s (one-pass): %v", sql, err)
 		}
-		if !sameResult(on, off) {
-			t.Errorf("%s: pushdown-on result diverges from pushdown-off", sql)
+		if !sameResult(staged, onePass) {
+			t.Errorf("%s: staged result diverges from one-pass", sql)
+		}
+		if s, o := staged.Metrics.IO.BlocksRead(), onePass.Metrics.IO.BlocksRead(); s > o {
+			t.Errorf("%s: staged read %d blocks, one-pass %d", sql, s, o)
+		}
+		if len(analyze(t, e, sql).Select) > 0 {
+			continue // the oracle evaluates aggregates only
+		}
+		naive, err := e.RunNaive(sql)
+		if err != nil {
+			t.Fatalf("%s (naive): %v", sql, err)
+		}
+		if !sameResult(staged, naive) {
+			t.Errorf("%s: staged result diverges from the naive oracle", sql)
 		}
 	}
 }
@@ -86,7 +102,6 @@ func TestPushdownOnOffParity(t *testing.T) {
 // change what is charged.
 func TestPushdownWorkerParity(t *testing.T) {
 	e, ds := tsEngine(t, 0.05)
-	e.Pushdown = 1
 	for _, sql := range pushdownParityQueries(t, ds) {
 		e.Parallelism = 1
 		seq, err := e.Run(sql)
@@ -116,27 +131,26 @@ func TestPushdownWorkerParity(t *testing.T) {
 
 // TestPushdownSkipsWindowBlocks pins the headline win: a narrow time
 // window over the append-ordered readings stream must read a small
-// fraction of the blocks the unpushed scan reads, skip the rest via zone
+// fraction of the blocks the one-pass reader reads, skip the rest via zone
 // maps, and record the skips in a scan_pushdown span.
 func TestPushdownSkipsWindowBlocks(t *testing.T) {
 	e, ds := tsEngine(t, 0.1)
 	lo, hi := tsWindow(ds, 0.50, 0.51)
 	sql := "SELECT COUNT(*) FROM readings WHERE readings.ts >= " + itoa(lo) + " AND readings.ts <= " + itoa(hi)
 
-	e.Pushdown = 1
 	tr := obs.NewTrace()
 	on, err := e.RunTraced(sql, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Pushdown = -1
+	e.ForceReader = "single-stage"
 	off, err := e.Run(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	onRead, offRead := on.Metrics.IO.BlocksRead(), off.Metrics.IO.BlocksRead()
 	if onRead*3 > offRead {
-		t.Errorf("narrow window: pushdown read %d blocks, off path %d (< 3x reduction)", onRead, offRead)
+		t.Errorf("narrow window: staged read %d blocks, one-pass %d (< 3x reduction)", onRead, offRead)
 	}
 	if on.Metrics.IO.BlocksSkipped() == 0 {
 		t.Error("narrow window skipped no blocks")
@@ -162,7 +176,6 @@ func TestPushdownSkipsWindowBlocks(t *testing.T) {
 func TestProjectionAndLimit(t *testing.T) {
 	db := buildWide(storage.BlockSize * 8)
 	e := New(db, catalog.NewSchema(), HeuristicEstimator{})
-	e.Pushdown = 1
 
 	res, err := e.Run("SELECT s, v FROM wide WHERE t >= 20 LIMIT 10")
 	if err != nil {
@@ -212,38 +225,68 @@ func TestProjectionAndLimit(t *testing.T) {
 	}
 }
 
-// TestPlanCacheReplaysPushdown: a cached template replays its pushdown
-// decision, but live gates (knob off, ForceReader ablation) override the
-// replayed value on every hit.
-func TestPlanCacheReplaysPushdown(t *testing.T) {
-	e, ds := tsEngine(t, 0.02)
-	e.Pushdown = 1
+// TestPlanCacheHonoursForceReader: a ForceReader ablation plans
+// cache-free, so a warm template never replays the staged reader into a
+// forced one-pass run, and the forced run never publishes its plan.
+func TestPlanCacheHonoursForceReader(t *testing.T) {
+	db := buildWide(storage.BlockSize * 10)
+	e := New(db, catalog.NewSchema(), HeuristicEstimator{})
 	e.PlanCache = NewPlanCache(0)
-	lo, hi := tsWindow(ds, 0.3, 0.4)
-	sql := "SELECT COUNT(*) FROM readings WHERE readings.ts >= " + itoa(lo) + " AND readings.ts <= " + itoa(hi)
-
-	plan := func() *Plan {
+	sql := "SELECT COUNT(*) FROM wide WHERE t >= 90 AND v < 500"
+	run := func(wantHit bool, wantStrategy string, wantBlocks int64) {
 		t.Helper()
-		p, err := e.Plan(analyze(t, e, sql))
+		res, err := e.Run(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		m := res.Metrics
+		if m.PlanCacheHit != wantHit || m.ReaderStrategy["wide"] != wantStrategy || m.IO.BlocksRead() != wantBlocks {
+			t.Errorf("ForceReader=%q: hit=%v strategy=%s blocks=%d, want hit=%v strategy=%s blocks=%d",
+				e.ForceReader, m.PlanCacheHit, m.ReaderStrategy["wide"], m.IO.BlocksRead(),
+				wantHit, wantStrategy, wantBlocks)
+		}
 	}
-	if !plan().Scans[0].Pushdown {
-		t.Fatal("cold plan did not push down a conjunctive range scan")
-	}
-	if !plan().Scans[0].Pushdown {
-		t.Error("warm cache hit lost the pushdown decision")
-	}
-	e.Pushdown = -1
-	if plan().Scans[0].Pushdown {
-		t.Error("knob off, but warm hit replayed pushdown anyway")
-	}
-	e.Pushdown = 1
+	run(false, "multi-stage", 2)
+	run(true, "multi-stage", 2)
 	e.ForceReader = "single-stage"
-	if plan().Scans[0].Pushdown {
-		t.Error("ForceReader ablation, but warm hit replayed pushdown anyway")
+	run(false, "single-stage", 20)
+	run(false, "single-stage", 20)
+	e.ForceReader = ""
+	run(true, "multi-stage", 2)
+}
+
+// TestReaderStrategyNamesBody: Metrics.ReaderStrategy names the body that
+// ran. A staged scan skips zone-map-pruned blocks; the one-pass reader
+// skips none and reads every block of its touched columns; a SIP-first
+// join table carries the "sip+" prefix over its filter body.
+func TestReaderStrategyNamesBody(t *testing.T) {
+	e := New(buildWideSmall(), catalog.NewSchema(), HeuristicEstimator{})
+	run := func(sql string) Metrics {
+		t.Helper()
+		res, err := e.Run(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res.Metrics
+	}
+	m := run("SELECT COUNT(*) FROM wide WHERE t >= 90 AND v < 500")
+	if got := m.ReaderStrategy["wide"]; got != "multi-stage" || m.IO.BlocksSkipped() == 0 {
+		t.Errorf("selective conjunction: strategy %s, %d blocks skipped; want multi-stage skipping blocks",
+			got, m.IO.BlocksSkipped())
+	}
+	m = run("SELECT COUNT(*) FROM wide WHERE t >= 90 OR v < 5")
+	if got := m.ReaderStrategy["wide"]; got != "single-stage" || m.IO.BlocksSkipped() != 0 || m.IO.BlocksRead() != 8 {
+		t.Errorf("OR filter: strategy %s, %d read, %d skipped; want single-stage reading all 8 blocks",
+			got, m.IO.BlocksRead(), m.IO.BlocksSkipped())
+	}
+	for _, c := range []struct{ filter, want string }{
+		{"wide.v < 400 AND wide.t < 50", "sip+multi-stage"},
+		{"(wide.v < 400 OR wide.t > 50)", "sip+single-stage"},
+	} {
+		m = run("SELECT COUNT(*) FROM small, wide WHERE wide.t = small.t_ref AND small.w < 150 AND " + c.filter)
+		if got := m.ReaderStrategy["wide"]; got != c.want || m.SIPPruned == 0 {
+			t.Errorf("SIP-first %s: strategy %s, %d pruned; want %s", c.filter, got, m.SIPPruned, c.want)
+		}
 	}
 }
 
@@ -260,12 +303,11 @@ func analyze(t *testing.T, e *Engine, sql string) *Query {
 	return q
 }
 
-// TestExplainPredictedVsActualBlocks: Explain predicts a pushed-down
-// scan's block reads from zone maps; AnnotateExecution fills the executed
-// count, and prediction must upper-bound reality.
+// TestExplainPredictedVsActualBlocks: Explain predicts a staged scan's
+// block reads from zone maps; AnnotateExecution fills the executed count,
+// and prediction must upper-bound reality.
 func TestExplainPredictedVsActualBlocks(t *testing.T) {
 	e, ds := tsEngine(t, 0.05)
-	e.Pushdown = 1
 	lo, hi := tsWindow(ds, 0.60, 0.62)
 	sql := "SELECT COUNT(*) FROM readings WHERE readings.ts >= " + itoa(lo) + " AND readings.ts <= " + itoa(hi) + " AND readings.metric = 3"
 
@@ -279,11 +321,11 @@ func TestExplainPredictedVsActualBlocks(t *testing.T) {
 			scan = &ex.Nodes[i]
 		}
 	}
-	if scan == nil || !scan.Pushdown {
-		t.Fatalf("no pushdown scan node in %+v", ex.Nodes)
+	if scan == nil || scan.Strategy != "multi-stage" {
+		t.Fatalf("no staged scan node in %+v", ex.Nodes)
 	}
 	if scan.PredictedBlocks == 0 {
-		t.Fatal("no block prediction for a constrained pushdown scan")
+		t.Fatal("no block prediction for a constrained staged scan")
 	}
 	res, err := e.Run(sql)
 	if err != nil {

@@ -132,8 +132,9 @@ type Metrics struct {
 	// InitialAggCapacity is the presized aggregation capacity (0 when the
 	// query has no aggregation).
 	InitialAggCapacity int
-	// ReaderStrategy maps each scanned binding to "single-stage" or
-	// "multi-stage".
+	// ReaderStrategy maps each scanned binding to the body its scan ran:
+	// "multi-stage" (staged BlockScan) or "single-stage" (one-pass
+	// reader), prefixed "sip+" when SIP probed the join keys first.
 	ReaderStrategy map[string]string
 	// ScanBlocks maps each scanned binding to its block read/skip counts
 	// (the per-scan-node actuals EXPLAIN annotation compares against the
@@ -149,7 +150,7 @@ type Metrics struct {
 	// monitoring compares EstFinalRows against.
 	ActualFinalRows int64
 	// ParallelWorkers is the morsel-driven worker count the executor ran
-	// with (1 means the sequential path).
+	// with (1 means every operator ran as a serial loop).
 	ParallelWorkers int
 	// PlanCacheHit marks runs whose plan was rebuilt from the template
 	// plan cache rather than planned fresh.

@@ -157,9 +157,10 @@ func (g *generator) randomSubtree(size int) ([]string, []joinEdge, bool) {
 	order := []string{start}
 	var conds []joinEdge
 	for len(order) < size {
-		// Candidate edges extending the set by exactly one table.
+		// Candidate edges extending the set by exactly one table, in
+		// insertion order so a seed names the same SQL in every process.
 		var candidates []joinEdge
-		for t := range inSet {
+		for _, t := range order {
 			for _, e := range g.adj[t] {
 				other := e.b
 				if e.b == t {

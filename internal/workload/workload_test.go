@@ -105,12 +105,29 @@ func TestHybridQueriesExecuteOnIMDB(t *testing.T) {
 }
 
 func TestDeterministicGeneration(t *testing.T) {
-	ds := datagen.Toy(datagen.Config{Scale: 1, Seed: 6})
-	a, _ := Generate(ds, GenConfig{Name: "x", NumQueries: 10, MinTables: 1, MaxTables: 2, AggFraction: 0.5, MaxGroupKeys: 1, Seed: 9})
-	b, _ := Generate(ds, GenConfig{Name: "x", NumQueries: 10, MinTables: 1, MaxTables: 2, AggFraction: 0.5, MaxGroupKeys: 1, Seed: 9})
-	for i := range a.Queries {
-		if a.Queries[i].SQL != b.Queries[i].SQL {
-			t.Fatalf("generation not deterministic at %d", i)
+	cases := []struct {
+		ds  *datagen.Dataset
+		cfg GenConfig
+	}{
+		{datagen.Toy(datagen.Config{Scale: 1, Seed: 6}),
+			GenConfig{Name: "x", NumQueries: 10, MinTables: 1, MaxTables: 2, AggFraction: 0.5, MaxGroupKeys: 1, Seed: 9}},
+		// Three or more tables give randomSubtree a choice of edges to grow
+		// by, which must not depend on map iteration order.
+		{datagen.STATS(datagen.Config{Scale: 0.02, Seed: 1}),
+			GenConfig{Name: "y", NumQueries: 30, MinTables: 3, MaxTables: 4, AggFraction: 0.5, MaxGroupKeys: 1, Seed: 9}},
+	}
+	for _, c := range cases {
+		a, err := Generate(c.ds, c.cfg)
+		if err != nil || len(a.Queries) != c.cfg.NumQueries {
+			t.Fatalf("%s: generated %d queries, err %v", c.cfg.Name, len(a.Queries), err)
+		}
+		for run := 0; run < 3; run++ {
+			b, _ := Generate(c.ds, c.cfg)
+			for i := range a.Queries {
+				if a.Queries[i].SQL != b.Queries[i].SQL {
+					t.Fatalf("%s: generation not deterministic at %d", c.cfg.Name, i)
+				}
+			}
 		}
 	}
 }

@@ -7,33 +7,33 @@ import (
 	"bytecard/internal/engine"
 )
 
-// Pushdown parity system tests: with the real ByteCard estimator in the
-// planner, the pushdown scan contract (zone-map block skipping,
+// Scan parity system tests: with the real ByteCard estimator in the
+// planner, the staged BlockScan (zone-map block skipping,
 // predicate/projection/limit pushdown, late materialization) must be an
-// I/O optimization only — results byte-identical to the legacy scan path
+// I/O optimization only — results byte-identical to the one-pass reader
 // across the JOB-Hybrid, STATS-Hybrid, and TimeSeries-Probes workloads,
 // while never reading more blocks than it.
 
-// runWithPushdown executes sql with the knob pinned to on (+1) or off (-1),
-// restoring the engine's default afterwards.
-func runWithPushdown(t *testing.T, sys *System, sql string, pushdown int) *engine.Result {
+// runWithReader executes sql with ForceReader pinned to reader ("" runs
+// the default staged plan), restoring the engine's setting afterwards.
+func runWithReader(t *testing.T, sys *System, sql, reader string) *engine.Result {
 	t.Helper()
-	prev := sys.Engine.Pushdown
-	sys.Engine.Pushdown = pushdown
-	defer func() { sys.Engine.Pushdown = prev }()
+	prev := sys.Engine.ForceReader
+	sys.Engine.ForceReader = reader
+	defer func() { sys.Engine.ForceReader = prev }()
 	res, err := sys.Run(sql)
 	if err != nil {
-		t.Fatalf("%s (pushdown=%d): %v", sql, pushdown, err)
+		t.Fatalf("%s (ForceReader=%q): %v", sql, reader, err)
 	}
 	return res
 }
 
-// TestPushdownParityWorkloads runs every workload query twice — pushdown
-// on, then off — on the same trained system and requires byte-identical
-// result sets. The plan cache stays hot across both runs, so this also
-// exercises the warm-hit re-gating path (a cached template's pushdown
-// decision must bow to the live knob).
-func TestPushdownParityWorkloads(t *testing.T) {
+// TestStagedMatchesOnePassWorkloads runs every workload query twice — the
+// default staged plan, then the forced one-pass reader — on the same
+// trained system and requires byte-identical result sets; single-table
+// queries are also checked against the brute-force oracle. The plan cache
+// stays hot for the default runs, while the forced runs plan cache-free.
+func TestStagedMatchesOnePassWorkloads(t *testing.T) {
 	for _, dataset := range []string{"imdb", "stats", "timeseries"} {
 		sys := fastpathSystem(t, dataset)
 		w, err := sys.Workload(17)
@@ -44,28 +44,39 @@ func TestPushdownParityWorkloads(t *testing.T) {
 		if len(queries) > 20 {
 			queries = queries[:20]
 		}
-		var onBlocks, offBlocks, skipped int64
+		var stagedBlocks, onePassBlocks, skipped int64
+		oracle := 0
 		for _, wq := range queries {
-			on := runWithPushdown(t, sys, wq.SQL, 1)
-			off := runWithPushdown(t, sys, wq.SQL, -1)
-			if !reflect.DeepEqual(on.Columns, off.Columns) || !reflect.DeepEqual(on.Rows, off.Rows) {
-				t.Errorf("%s/%s: pushdown-on result diverges from pushdown-off", dataset, wq.SQL)
+			staged := runWithReader(t, sys, wq.SQL, "")
+			onePass := runWithReader(t, sys, wq.SQL, "single-stage")
+			if !reflect.DeepEqual(staged.Columns, onePass.Columns) || !reflect.DeepEqual(staged.Rows, onePass.Rows) {
+				t.Errorf("%s/%s: staged result diverges from one-pass", dataset, wq.SQL)
 			}
-			if onRead, offRead := on.Metrics.IO.BlocksRead(), off.Metrics.IO.BlocksRead(); onRead > offRead {
-				t.Errorf("%s/%s: pushdown read %d blocks, legacy path %d — pushdown must never read more",
-					dataset, wq.SQL, onRead, offRead)
+			if s, o := staged.Metrics.IO.BlocksRead(), onePass.Metrics.IO.BlocksRead(); s > o {
+				t.Errorf("%s/%s: staged read %d blocks, one-pass %d — staging must never read more",
+					dataset, wq.SQL, s, o)
 			}
-			onBlocks += on.Metrics.IO.BlocksRead()
-			offBlocks += off.Metrics.IO.BlocksRead()
-			skipped += on.Metrics.IO.BlocksSkipped()
+			if wq.NumTables <= 2 {
+				naive, err := sys.Engine.RunNaive(wq.SQL)
+				if err != nil {
+					t.Fatalf("%s/%s (naive): %v", dataset, wq.SQL, err)
+				}
+				if !reflect.DeepEqual(staged.Rows, naive.Rows) {
+					t.Errorf("%s/%s: staged result diverges from the naive oracle", dataset, wq.SQL)
+				}
+				oracle++
+			}
+			stagedBlocks += staged.Metrics.IO.BlocksRead()
+			onePassBlocks += onePass.Metrics.IO.BlocksRead()
+			skipped += staged.Metrics.IO.BlocksSkipped()
 		}
-		t.Logf("%s: %d queries, blocks %d pushdown vs %d legacy (%d skipped)",
-			dataset, len(queries), onBlocks, offBlocks, skipped)
+		t.Logf("%s: %d queries (%d oracle-checked), blocks %d staged vs %d one-pass (%d skipped)",
+			dataset, len(queries), oracle, stagedBlocks, onePassBlocks, skipped)
 		// The time-series probes are built to be zone-skippable: narrow
 		// append-ordered windows must show a strict read reduction.
-		if dataset == "timeseries" && (onBlocks >= offBlocks || skipped == 0) {
-			t.Errorf("timeseries: pushdown read %d blocks vs %d legacy, %d skipped — expected strict reduction",
-				onBlocks, offBlocks, skipped)
+		if dataset == "timeseries" && (stagedBlocks >= onePassBlocks || skipped == 0) {
+			t.Errorf("timeseries: staged read %d blocks vs %d one-pass, %d skipped — expected strict reduction",
+				stagedBlocks, onePassBlocks, skipped)
 		}
 	}
 }
