@@ -88,11 +88,6 @@ type Options struct {
 	// registered with the inference registry, so model retrains and
 	// refreshes invalidate affected templates automatically.
 	PlanCacheBytes int64
-	// BatchThreshold is the minimum join-order DP rank size handed to the
-	// batched estimator path as one batch. Zero defers to
-	// BYTECARD_BATCH_THRESHOLD, then the engine default (2); negative
-	// disables batching.
-	BatchThreshold int
 	// ResidualCorrection enables the online residual corrector: executed
 	// queries feed (estimate, truth) pairs into a per-template
 	// multiplicative correction applied on top of BN/FactorJoin estimates
@@ -245,7 +240,6 @@ func OpenDataset(ds *datagen.Dataset, opts Options) (*System, error) {
 	}
 	sys.Engine = engine.New(ds.DB, ds.Schema, est)
 	sys.Engine.Parallelism = opts.Parallelism
-	sys.Engine.BatchThreshold = opts.BatchThreshold
 	sys.Engine.Obs = obs.NewEngineMetrics()
 	if b := planCacheBudget(opts.PlanCacheBytes); b >= 0 {
 		pc := engine.NewPlanCache(b)

@@ -32,7 +32,9 @@ const (
 	DefaultColOrderEarlyStop = 0.5
 	// MaxIntermediateRows aborts runaway joins.
 	MaxIntermediateRows = 50_000_000
-	// DefaultBatchThreshold is the smallest DP rank worth batching: a
+	// DefaultBatchThreshold is the smallest join-order DP rank (newly
+	// reachable subsets) the planner hands to a BatchCardEstimator as one
+	// batch; smaller ranks go through sequential EstimateJoin calls. A
 	// one-subset rank amortizes nothing, so the floor is 2. Estimators do
 	// their own fan-out break-even below this gate (see
 	// core.Estimator.fanOutWorkers), which keeps the planner-side constant
@@ -65,13 +67,6 @@ type Engine struct {
 	// environment variable if set, else runtime.GOMAXPROCS(0); 1 runs every
 	// operator as a serial loop.
 	Parallelism int
-	// BatchThreshold is the minimum join-order DP rank size (newly
-	// reachable subsets) for which the planner hands the rank to a
-	// BatchCardEstimator as one batch; smaller ranks go through sequential
-	// EstimateJoin calls, whose per-call overhead is below the batch
-	// machinery's. Zero takes BYTECARD_BATCH_THRESHOLD if set, else
-	// DefaultBatchThreshold; negative disables batching entirely.
-	BatchThreshold int
 	// Obs, when set, accumulates query volume, planning/execution latency,
 	// and the q-error of each plan's final cardinality estimate against
 	// the executed truth.
@@ -114,29 +109,6 @@ var envParallelism = sync.OnceValue(func() int {
 	}
 	return 0
 })
-
-// envBatchThreshold reads BYTECARD_BATCH_THRESHOLD once (any integer;
-// negative disables batching, the knob for machines where even large
-// ranks plan faster sequentially).
-var envBatchThreshold = sync.OnceValue(func() (v int) {
-	if s := os.Getenv("BYTECARD_BATCH_THRESHOLD"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n != 0 {
-			return n
-		}
-	}
-	return 0
-})
-
-// batchThreshold resolves the minimum batched rank size.
-func (e *Engine) batchThreshold() int {
-	if e.BatchThreshold != 0 {
-		return e.BatchThreshold
-	}
-	if v := envBatchThreshold(); v != 0 {
-		return v
-	}
-	return DefaultBatchThreshold
-}
 
 // workers resolves the executor worker count for one query.
 func (e *Engine) workers() int {

@@ -333,16 +333,16 @@ func (e *Engine) executeJoins(q *Query, p *Plan, states []*scanState, m *Metrics
 		}
 		// Sideways information passing: the intermediate's key set prunes
 		// the next table's scan before its predicate columns are read.
-		var sip map[uint64]bool
+		var sip *keyTable
 		if !e.DisableSIP {
-			sip = make(map[uint64]bool, len(inter.tuples))
+			sip = newKeyTable(len(conds), len(inter.tuples))
 			key := make([]types.Datum, len(conds))
 			for _, tuple := range inter.tuples {
 				for k, c := range conds {
 					lt := bindingIdx[c.LeftTab]
 					key[k] = states[lt].value(c.LeftCol, tuple[inter.pos[lt]])
 				}
-				sip[hashKey(key)] = true
+				sip.insert(hashKey(key), key)
 			}
 		}
 		stepStart := time.Now()
@@ -376,11 +376,11 @@ const sipFirstFraction = 0.25
 // that keeps intermediates small (good estimates) directly reduces block
 // I/O. The survivors are filtered by the body sp.Strategy names: staged
 // column by column, or the full filter tree row-at-a-time.
-func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, conds []JoinCond, sip map[uint64]bool, m *Metrics, ex *execCtx) error {
+func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, conds []JoinCond, sip *keyTable, m *Metrics, ex *execCtx) error {
 	sp := p.Scans[next]
 	t := q.Tables[next]
 	n := t.Table.NumRows()
-	sipFirst := sip != nil && float64(len(sip)) < sipFirstFraction*float64(n)
+	sipFirst := sip != nil && float64(sip.Len()) < sipFirstFraction*float64(n)
 	if !sipFirst {
 		st, err := e.executeScan(q, sp, m, ex, 0)
 		if err != nil {
@@ -406,7 +406,7 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, c
 			for k := range conds {
 				key[k] = keyReaders[k].Value(i)
 			}
-			if sip[hashKey(key)] {
+			if g, _ := sip.find(hashKey(key), key); g >= 0 {
 				rows = append(rows, int32(i))
 			}
 		}
@@ -495,11 +495,7 @@ func compress(q *Query, inter *intermediate, states []*scanState, remaining []in
 	for _, cols := range live {
 		width += len(cols)
 	}
-	type slot struct {
-		sig []types.Datum
-		idx int
-	}
-	merged := make(map[uint64][]slot, len(inter.tuples)/4)
+	merged := newKeyTable(width, len(inter.tuples)/4)
 	out := &intermediate{tabs: inter.tabs, pos: inter.pos}
 	sig := make([]types.Datum, 0, width)
 	for ti, tuple := range inter.tuples {
@@ -509,32 +505,44 @@ func compress(q *Query, inter *intermediate, states []*scanState, remaining []in
 				sig = append(sig, states[tabIdx].value(col, tuple[inter.pos[tabIdx]]))
 			}
 		}
-		h := hashKey(sig)
-		found := false
-		for _, s := range merged[h] {
-			if keysEqual(s.sig, sig) {
-				out.counts[s.idx] += inter.counts[ti]
-				found = true
-				break
-			}
-		}
-		if !found {
-			cp := make([]types.Datum, len(sig))
-			copy(cp, sig)
-			merged[h] = append(merged[h], slot{sig: cp, idx: len(out.tuples)})
+		// The group id is the output tuple index.
+		if g, added := merged.insert(hashKey(sig), sig); added {
 			out.tuples = append(out.tuples, tuple)
 			out.counts = append(out.counts, inter.counts[ti])
+		} else {
+			out.counts[g] += inter.counts[ti]
 		}
 	}
 	return out
 }
 
-// joinEntry is one build-side row of a hash join; it keeps the key datums
-// for exact matching so hash collisions never join unequal keys.
-type joinEntry struct {
-	key []types.Datum
-	row int32
+// joinBuild is a hash join's build side: one key group per distinct build
+// key, whose rows, in build order, are rows[start[g]:start[g+1]].
+type joinBuild struct {
+	keys        *keyTable
+	start, rows []int32
 }
+
+// newJoinBuild files each build row rows[i] under its key group groups[i].
+// The counting sort is stable, so every key keeps its rows in build order.
+func newJoinBuild(keys *keyTable, rows, groups []int32) *joinBuild {
+	b := &joinBuild{keys: keys, start: make([]int32, keys.Len()+1), rows: make([]int32, len(rows))}
+	for _, g := range groups {
+		b.start[g+1]++
+	}
+	for g := 1; g < len(b.start); g++ {
+		b.start[g] += b.start[g-1]
+	}
+	fill := append([]int32(nil), b.start...)
+	for i, g := range groups {
+		b.rows[fill[g]] = rows[i]
+		fill[g]++
+	}
+	return b
+}
+
+// rowsOf returns key group g's rows in build order.
+func (b *joinBuild) rowsOf(g int) []int32 { return b.rows[b.start[g]:b.start[g+1]] }
 
 // hashJoin joins the intermediate with one new table over the given
 // conditions (Left side = intermediate, Right side = new table). The build
@@ -543,15 +551,17 @@ type joinEntry struct {
 func hashJoin(q *Query, inter *intermediate, states []*scanState, next int, conds []JoinCond, bindingIdx map[string]int, m *Metrics, ex *execCtx) (*intermediate, error) {
 	st := states[next]
 
-	build := make(map[uint64][]joinEntry, len(st.rows))
-	for _, row := range st.rows {
-		key := make([]types.Datum, len(conds))
+	keys := newKeyTable(len(conds), len(st.rows))
+	groups := make([]int32, len(st.rows))
+	key := make([]types.Datum, len(conds))
+	for i, row := range st.rows {
 		for k, c := range conds {
 			key[k] = st.value(c.RightCol, row)
 		}
-		h := hashKey(key)
-		build[h] = append(build[h], joinEntry{key: key, row: row})
+		g, _ := keys.insert(hashKey(key), key)
+		groups[i] = int32(g)
 	}
+	build := newJoinBuild(keys, st.rows, groups)
 
 	out := &intermediate{tabs: append(append([]int(nil), inter.tabs...), next), pos: map[int]int{}}
 	for i, t := range out.tabs {
@@ -566,55 +576,24 @@ func hashJoin(q *Query, inter *intermediate, states []*scanState, next int, cond
 	return out, nil
 }
 
-func hashKey(key []types.Datum) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, d := range key {
-		h = h*1099511628211 ^ d.Hash64()
-	}
-	return h
-}
-
-// keysEqual reports whether two key tuples are equal. Ragged lengths and
-// non-comparable kind pairs compare unequal instead of panicking (or
-// silently misjudging when a is a prefix of b).
-func keysEqual(a, b []types.Datum) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].K != b[i].K && !(a[i].IsNumeric() && b[i].IsNumeric()) {
-			return false
-		}
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // executeAggregation folds the joined relation through the aggregation
-// hash table (or a single accumulator when there is no GROUP BY). Workers
-// accumulate into per-worker tables sized from the NDV estimate divided by
-// the worker count, then merge.
+// hash table (one group when there is no GROUP BY). Workers accumulate
+// into per-worker tables sized from the NDV estimate divided by the worker
+// count, then merge.
 func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inter *intermediate, m *Metrics, ex *execCtx) *Result {
 	res := &Result{}
 	for _, item := range q.Stmt.Items {
 		res.Columns = append(res.Columns, item.String())
 	}
-
-	if len(q.GroupBy) == 0 {
-		m.InitialAggCapacity = 0
-		res.Rows = [][]types.Datum{buildOutputRow(q, nil, globalAgg(q, states, inter, ex))}
-		return res
-	}
-
 	m.InitialAggCapacity = p.AggCapacity
-	table, resizes := groupedAgg(q, p, states, inter, ex)
+	table, accs, resizes := groupedAgg(q, p, states, inter, ex)
 	m.HashResizes += resizes
-	for _, slot := range table.slots {
-		if slot.used {
-			res.Rows = append(res.Rows, buildOutputRow(q, slot.key, slot.accs))
-		}
+	for g, a := range accs {
+		res.Rows = append(res.Rows, buildOutputRow(q, table.key(g), a))
+	}
+	if len(q.GroupBy) == 0 && len(accs) == 0 {
+		// An empty input still has its one global row.
+		res.Rows = [][]types.Datum{buildOutputRow(q, nil, newAccs(q.Aggs))}
 	}
 	sortRows(res.Rows)
 	if q.Limit > 0 && len(res.Rows) > q.Limit {
@@ -701,74 +680,41 @@ func sortRows(rows [][]types.Datum) {
 	})
 }
 
-// distinctSet is an exact COUNT DISTINCT accumulator: keys are grouped by
-// 64-bit hash but the actual datums are chained and compared on collision,
-// so colliding datums never silently undercount the exact answer.
-type distinctSet struct {
-	groups map[uint64][][]types.Datum
-	n      int
-}
-
-func newDistinctSet() *distinctSet {
-	return &distinctSet{groups: map[uint64][][]types.Datum{}}
-}
-
-// add inserts key (copied) under hash h if no equal key is chained there.
-func (s *distinctSet) add(h uint64, key []types.Datum) {
-	for _, k := range s.groups[h] {
-		if keysEqual(k, key) {
-			return
-		}
-	}
-	cp := make([]types.Datum, len(key))
-	copy(cp, key)
-	s.groups[h] = append(s.groups[h], cp)
-	s.n++
-}
-
-// merge folds another set's members into s.
-func (s *distinctSet) merge(o *distinctSet) {
-	//bytecard:unordered-ok groups are keyed by hash; each hash chain merges independently and set semantics ignore insertion order
-	for h, chain := range o.groups {
-		for _, k := range chain {
-			s.add(h, k)
-		}
-	}
-}
-
 // aggAcc accumulates one aggregate for one group.
 type aggAcc struct {
 	count    int64
 	sum      float64
 	min, max types.Datum
 	seen     bool
-	distinct *distinctSet
+	// distinct is the exact COUNT DISTINCT set.
+	distinct *keyTable
 }
 
 func newAccs(aggs []AggSpec) []aggAcc {
 	accs := make([]aggAcc, len(aggs))
 	for i, a := range aggs {
 		if a.Kind == AggCountDistinct {
-			accs[i].distinct = newDistinctSet()
+			accs[i].distinct = newKeyTable(len(a.Cols), 0)
 		}
 	}
 	return accs
 }
 
-func updateAccs(accs []aggAcc, aggs []AggSpec, fetch func(ColRef, []int32) types.Datum, tuple []int32, mult int64) {
+// updateAccs folds one tuple of multiplicity mult into accs. scratch is
+// the caller's reusable COUNT DISTINCT key buffer.
+func updateAccs(accs []aggAcc, aggs []AggSpec, fetch func(ColRef, []int32) types.Datum, tuple []int32, mult int64, scratch *[]types.Datum) {
 	for i := range aggs {
 		acc := &accs[i]
 		switch aggs[i].Kind {
 		case AggCountStar:
 			acc.count += mult
 		case AggCountDistinct:
-			key := make([]types.Datum, len(aggs[i].Cols))
-			var h uint64 = 1469598103934665603
-			for k, c := range aggs[i].Cols {
-				key[k] = fetch(c, tuple)
-				h = h*1099511628211 ^ key[k].Hash64()
+			key := (*scratch)[:0]
+			for _, c := range aggs[i].Cols {
+				key = append(key, fetch(c, tuple))
 			}
-			acc.distinct.add(h, key)
+			*scratch = key
+			acc.distinct.insert(hashKey(key), key)
 		case AggSum, AggAvg:
 			v := fetch(aggs[i].Cols[0], tuple)
 			acc.sum += v.AsFloat() * float64(mult)
@@ -794,7 +740,7 @@ func (a *aggAcc) result(kind AggKind) types.Datum {
 	case AggCountStar:
 		return types.Int(a.count)
 	case AggCountDistinct:
-		return types.Int(int64(a.distinct.n))
+		return types.Int(int64(a.distinct.Len()))
 	case AggSum:
 		return types.Float(a.sum)
 	case AggAvg:
@@ -811,85 +757,19 @@ func (a *aggAcc) result(kind AggKind) types.Datum {
 	}
 }
 
-// aggTable is an open-addressing hash table with linear probing that counts
-// its resize events — the observable the paper's aggregation optimization
-// reduces by presizing from RBX's NDV estimate.
-type aggTable struct {
-	slots   []aggSlot
-	used    int
-	resizes int
-}
-
-type aggSlot struct {
-	h    uint64
-	key  []types.Datum
-	accs []aggAcc
-	used bool
-}
-
-// aggLoadFactor triggers growth.
-const aggLoadFactor = 0.7
-
-func newAggTable(expectedGroups int) *aggTable {
-	if expectedGroups < 1 {
-		expectedGroups = 1
-	}
-	n := nextPow2(int(float64(expectedGroups)/aggLoadFactor) + 1)
-	if n < 16 {
-		n = 16
-	}
-	return &aggTable{slots: make([]aggSlot, n)}
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// lookup finds or inserts the group for key, copying the key on insert.
-func (t *aggTable) lookup(key []types.Datum, mk func() []aggAcc) []aggAcc {
-	return t.lookupHash(hashKey(key), key, mk)
-}
-
-// lookupHash is lookup with a caller-supplied hash — the merge phase
-// reuses stored slot hashes, and tests inject colliding hashes to exercise
-// chain behaviour.
-func (t *aggTable) lookupHash(h uint64, key []types.Datum, mk func() []aggAcc) []aggAcc {
-	if float64(t.used+1) > aggLoadFactor*float64(len(t.slots)) {
-		t.grow()
-	}
-	mask := uint64(len(t.slots) - 1)
-	i := h & mask
-	for {
-		s := &t.slots[i]
-		if !s.used {
-			kc := make([]types.Datum, len(key))
-			copy(kc, key)
-			*s = aggSlot{h: h, key: kc, accs: mk(), used: true}
-			t.used++
-			return s.accs
+// absorb merges worker table o, whose group g accumulates into oaccs[g],
+// into t and its accumulators accs (the parallel aggregation's merge
+// phase), walking o's groups in id order and reusing their stored hashes.
+// It returns accs, grown by t's new groups.
+func absorb(t *keyTable, accs [][]aggAcc, o *keyTable, oaccs [][]aggAcc, aggs []AggSpec) [][]aggAcc {
+	for g, h := range o.hashes {
+		id, added := t.insert(h, o.key(g))
+		if added {
+			accs = append(accs, newAccs(aggs))
 		}
-		if s.h == h && keysEqual(s.key, key) {
-			return s.accs
-		}
-		i = (i + 1) & mask
+		mergeAccs(accs[id], oaccs[g], aggs)
 	}
-}
-
-// absorb merges another table's groups into t (the parallel aggregation's
-// merge phase), combining accumulators group by group.
-func (t *aggTable) absorb(o *aggTable, aggs []AggSpec) {
-	for i := range o.slots {
-		s := &o.slots[i]
-		if !s.used {
-			continue
-		}
-		accs := t.lookupHash(s.h, s.key, func() []aggAcc { return newAccs(aggs) })
-		mergeAccs(accs, s.accs, aggs)
-	}
+	return accs
 }
 
 // mergeAccs combines src's accumulators into dst (dst may be freshly
@@ -920,26 +800,5 @@ func mergeAccs(dst, src []aggAcc, aggs []AggSpec) {
 				d.max = s.max
 			}
 		}
-	}
-}
-
-// grow doubles the table and rehashes every entry — the resize cost the
-// presizing optimization avoids.
-func (t *aggTable) grow() {
-	t.resizes++
-	old := t.slots
-	t.slots = make([]aggSlot, len(old)*2)
-	t.used = 0
-	mask := uint64(len(t.slots) - 1)
-	for _, s := range old {
-		if !s.used {
-			continue
-		}
-		i := s.h & mask
-		for t.slots[i].used {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = s
-		t.used++
 	}
 }

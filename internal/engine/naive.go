@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"bytecard/internal/sqlparse"
 	"bytecard/internal/types"
@@ -73,7 +75,10 @@ func (e *Engine) RunNaive(sql string) (*Result, error) {
 	}
 	rec(0, nil)
 
-	// Aggregate with plain maps.
+	// Group by a lossless key encoding and evaluate each aggregate from
+	// first principles over its group's tuples: the oracle shares neither
+	// the executor's hash tables nor its accumulators. Without GROUP BY,
+	// every match forms the one group.
 	fetch := func(ref ColRef, tuple []int32) types.Datum {
 		i := bindingIndex(q, ref.Tab)
 		return valueAt(q, i, tuple[i], ref.Col)
@@ -82,37 +87,94 @@ func (e *Engine) RunNaive(sql string) (*Result, error) {
 	for _, item := range q.Stmt.Items {
 		res.Columns = append(res.Columns, item.String())
 	}
-	if len(q.GroupBy) == 0 {
-		accs := newAccs(q.Aggs)
-		for _, tuple := range match {
-			updateAccs(accs, q.Aggs, fetch, tuple, 1)
-		}
-		res.Rows = [][]types.Datum{buildOutputRow(q, nil, accs)}
-		return res, nil
-	}
 	type group struct {
-		key  []types.Datum
-		accs []aggAcc
+		key    []types.Datum
+		tuples [][]int32
 	}
-	groups := map[uint64]*group{}
-	for _, tuple := range match {
-		key := make([]types.Datum, len(q.GroupBy))
-		for i, g := range q.GroupBy {
-			key[i] = fetch(g, tuple)
+	groups := []*group{{tuples: match}}
+	if len(q.GroupBy) > 0 {
+		groups = nil
+		byKey := map[string]*group{}
+		for _, tuple := range match {
+			key, enc := naiveKey(q.GroupBy, tuple, fetch)
+			g := byKey[enc]
+			if g == nil {
+				g = &group{key: key}
+				byKey[enc] = g
+				groups = append(groups, g)
+			}
+			g.tuples = append(g.tuples, tuple)
 		}
-		h := hashKey(key)
-		g, ok := groups[h]
-		if !ok {
-			g = &group{key: key, accs: newAccs(q.Aggs)}
-			groups[h] = g
-		}
-		updateAccs(g.accs, q.Aggs, fetch, tuple, 1)
 	}
 	for _, g := range groups {
-		res.Rows = append(res.Rows, buildOutputRow(q, g.key, g.accs))
+		row := make([]types.Datum, len(q.outPlan))
+		for i, item := range q.outPlan {
+			if item.isAgg {
+				row[i] = naiveAgg(q.Aggs[item.aggIdx], g.tuples, fetch)
+			} else {
+				row[i] = g.key[item.groupIdx]
+			}
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	sortRows(res.Rows)
 	return res, nil
+}
+
+// naiveKey reads cols of tuple and encodes the key so that keys encode
+// alike exactly when they compare equal: integral numerics of either kind
+// as integers (Int(3) equals Float(3), and -0 equals 0), other floats by
+// value, everything else by kind and text. (Int values past 2^53 against
+// floats are the one exception: there Datum equality is not transitive.)
+func naiveKey(cols []ColRef, tuple []int32, fetch func(ColRef, []int32) types.Datum) ([]types.Datum, string) {
+	key := make([]types.Datum, len(cols))
+	var b strings.Builder
+	for i, c := range cols {
+		d := fetch(c, tuple)
+		key[i] = d
+		switch f := d.AsFloat(); {
+		case d.K == types.KindInt64:
+			fmt.Fprintf(&b, "i%d|", d.I)
+		case d.IsNumeric() && f == math.Trunc(f) && math.Abs(f) < 1<<63:
+			fmt.Fprintf(&b, "i%d|", int64(f))
+		case d.IsNumeric():
+			fmt.Fprintf(&b, "f%v|", f)
+		default:
+			fmt.Fprintf(&b, "%d%q|", d.K, d.S)
+		}
+	}
+	return key, b.String()
+}
+
+// naiveAgg evaluates one aggregate over a group's matching tuples.
+func naiveAgg(a AggSpec, tuples [][]int32, fetch func(ColRef, []int32) types.Datum) types.Datum {
+	switch a.Kind {
+	case AggCountStar:
+		return types.Int(int64(len(tuples)))
+	case AggCountDistinct:
+		seen := map[string]bool{}
+		for _, tuple := range tuples {
+			_, enc := naiveKey(a.Cols, tuple, fetch)
+			seen[enc] = true
+		}
+		return types.Int(int64(len(seen)))
+	}
+	var sum float64
+	var best types.Datum
+	for i, tuple := range tuples {
+		v := fetch(a.Cols[0], tuple)
+		sum += v.AsFloat()
+		if i == 0 || (a.Kind == AggMin && v.Less(best)) || (a.Kind == AggMax && best.Less(v)) {
+			best = v
+		}
+	}
+	if a.Kind == AggAvg && len(tuples) > 0 {
+		sum /= float64(len(tuples))
+	}
+	if a.Kind == AggSum || a.Kind == AggAvg {
+		return types.Float(sum)
+	}
+	return best
 }
 
 func bindingIndex(q *Query, binding string) int {

@@ -243,7 +243,6 @@ func (e *Engine) planJoinOrder(p *Plan) error {
 		return tabs, conds
 	}
 	batchEst, batching := e.Est.(BatchCardEstimator)
-	threshold := e.batchThreshold()
 	// Sequential scratch, reused across estimates (the CardEstimator
 	// contract forbids retaining the slices).
 	tabs := make([]*QueryTable, 0, n)
@@ -290,7 +289,7 @@ func (e *Engine) planJoinOrder(p *Plan) error {
 	}
 	// estimateAll fills card for every listed mask (all absent from card).
 	estimateAll := func(masks []uint32) {
-		if batching && threshold > 0 && len(masks) >= threshold {
+		if batching && len(masks) >= DefaultBatchThreshold {
 			items := make([]JoinBatchItem, len(masks))
 			for k, mask := range masks {
 				items[k].Tables, items[k].Conds = fillSubset(mask, nil, nil)

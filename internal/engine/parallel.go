@@ -98,9 +98,9 @@ func rowRange(lo, hi int) []int32 {
 	return rows
 }
 
-// concatRows concatenates chunk-indexed row lists in chunk order; a single
+// concat concatenates chunk-indexed output parts in chunk order; a single
 // part is returned as is.
-func concatRows(parts [][]int32) []int32 {
+func concat[T any](parts [][]T) []T {
 	if len(parts) == 1 {
 		return parts[0]
 	}
@@ -108,7 +108,7 @@ func concatRows(parts [][]int32) []int32 {
 	for _, p := range parts {
 		total += len(p)
 	}
-	out := make([]int32, 0, total)
+	out := make([]T, 0, total)
 	for _, p := range parts {
 		out = append(out, p...)
 	}
@@ -130,7 +130,7 @@ func (ex *execCtx) scanChunks(st *scanState, n, size int, body func(v *workerVie
 		lo, hi := chunkBounds(n, size, c)
 		parts[c] = body(views[w], lo, hi)
 	})
-	return concatRows(parts)
+	return concat(parts)
 }
 
 // workerView is one worker's window onto a scanState. A lone worker reads
@@ -231,22 +231,16 @@ func evalFilter(v *workerView, filter *expr.Node, rows []int32) []int32 {
 	return kept
 }
 
-// probePart is one chunk's hash-join output partition.
-type probePart struct {
-	tuples [][]int32
-	counts []int64
-}
-
-// probe probes the read-only build table over chunks of the
+// probe probes the read-only build side over chunks of the
 // intermediate's tuples. Per-chunk partitions concatenated in chunk order
-// reproduce the serial probe's output order (the build side is built
-// serially, so per-key match order is identical too). It reports false
-// when the output exceeds MaxIntermediateRows.
-func probe(inter *intermediate, states []*scanState, build map[uint64][]joinEntry, conds []JoinCond, bindingIdx map[string]int, ex *execCtx) ([][]int32, []int64, bool) {
+// reproduce the serial probe's output order (each build key keeps its rows
+// in build order, so per-key match order is identical too). It reports
+// false when the output exceeds MaxIntermediateRows.
+func probe(inter *intermediate, states []*scanState, build *joinBuild, conds []JoinCond, bindingIdx map[string]int, ex *execCtx) ([][]int32, []int64, bool) {
 	n := len(inter.tuples)
 	chunks := numChunks(n, tupleChunk)
 	views := multiViews(states, ex.fanout(chunks))
-	parts := make([]probePart, chunks)
+	tuples, counts := make([][][]int32, chunks), make([][]int64, chunks)
 	var total atomic.Int64
 	var overflow atomic.Bool
 	par.Chunks(len(views), chunks, func(w, c int) {
@@ -256,110 +250,81 @@ func probe(inter *intermediate, states []*scanState, build map[uint64][]joinEntr
 		lo, hi := chunkBounds(n, tupleChunk, c)
 		view := views[w]
 		probeKey := make([]types.Datum, len(conds))
-		var part probePart
+		var partTuples [][]int32
+		var partCounts []int64
 		for ti := lo; ti < hi; ti++ {
 			tuple := inter.tuples[ti]
 			for k, cond := range conds {
 				lt := bindingIdx[cond.LeftTab]
 				probeKey[k] = view.value(lt, cond.LeftCol, tuple[inter.pos[lt]])
 			}
-			h := hashKey(probeKey)
-			matched := int64(0)
-			for _, ent := range build[h] {
-				if !keysEqual(ent.key, probeKey) {
-					continue
-				}
+			g, _ := build.keys.find(hashKey(probeKey), probeKey)
+			if g < 0 {
+				continue
+			}
+			matches := build.rowsOf(g)
+			for _, row := range matches {
 				combined := make([]int32, len(tuple)+1)
 				copy(combined, tuple)
-				combined[len(tuple)] = ent.row
-				part.tuples = append(part.tuples, combined)
-				part.counts = append(part.counts, inter.counts[ti])
-				matched++
+				combined[len(tuple)] = row
+				partTuples = append(partTuples, combined)
+				partCounts = append(partCounts, inter.counts[ti])
 			}
-			if matched > 0 && total.Add(matched) > MaxIntermediateRows {
+			if total.Add(int64(len(matches))) > MaxIntermediateRows {
 				overflow.Store(true)
 				return
 			}
 		}
-		parts[c] = part
+		tuples[c], counts[c] = partTuples, partCounts
 	})
 	if overflow.Load() {
 		return nil, nil, false
 	}
-	if len(parts) == 1 {
-		return parts[0].tuples, parts[0].counts, true
-	}
-	tuples := make([][]int32, 0, total.Load())
-	counts := make([]int64, 0, total.Load())
-	for i := range parts {
-		tuples = append(tuples, parts[i].tuples...)
-		counts = append(counts, parts[i].counts...)
-	}
-	return tuples, counts, true
+	return concat(tuples), concat(counts), true
 }
 
-// groupedAgg accumulates the joined relation into per-worker aggregation
-// tables — each presized to the NDV estimate divided by the worker count —
-// then merges them into the first worker's table in worker order. The
-// per-table resize counters (own growth plus merge-phase growth) sum into
-// Metrics.HashResizes, keeping the presizing experiment meaningful under
-// parallelism.
-func groupedAgg(q *Query, p *Plan, states []*scanState, inter *intermediate, ex *execCtx) (*aggTable, int64) {
+// groupedAgg accumulates the joined relation into per-worker key tables —
+// each presized to the NDV estimate divided by the worker count, with group
+// g's accumulators at accs[g] — then absorbs them into the first worker's
+// table in worker order. Without GROUP BY the key is empty, so every tuple
+// lands in one group. The per-table resize counters (own growth plus
+// merge-phase growth) sum into Metrics.HashResizes, keeping the presizing
+// experiment meaningful under parallelism.
+func groupedAgg(q *Query, p *Plan, states []*scanState, inter *intermediate, ex *execCtx) (*keyTable, [][]aggAcc, int64) {
 	n := len(inter.tuples)
 	chunks := numChunks(n, tupleChunk)
 	workers := ex.fanout(chunks)
 	perWorkerCap := p.AggCapacity / workers
-	tables := make([]*aggTable, workers)
-	keys := make([][]types.Datum, workers)
+	tables := make([]*keyTable, workers)
+	accs := make([][][]aggAcc, workers)
 	for w := range tables {
-		tables[w] = newAggTable(perWorkerCap)
-		keys[w] = make([]types.Datum, len(q.GroupBy))
+		tables[w] = newKeyTable(len(q.GroupBy), perWorkerCap)
 	}
 	views := multiViews(states, workers)
 	par.Strided(workers, chunks, func(w, c int) {
-		table, key, fetch := tables[w], keys[w], fetcher(q, inter, views[w])
+		table, fetch := tables[w], fetcher(q, inter, views[w])
+		key := make([]types.Datum, len(q.GroupBy))
+		var scratch []types.Datum
 		lo, hi := chunkBounds(n, tupleChunk, c)
 		for ti := lo; ti < hi; ti++ {
 			tuple := inter.tuples[ti]
 			for i, g := range q.GroupBy {
 				key[i] = fetch(g, tuple)
 			}
-			accs := table.lookup(key, func() []aggAcc { return newAccs(q.Aggs) })
-			updateAccs(accs, q.Aggs, fetch, tuple, inter.counts[ti])
+			g, added := table.insert(hashKey(key), key)
+			if added {
+				accs[w] = append(accs[w], newAccs(q.Aggs))
+			}
+			updateAccs(accs[w][g], q.Aggs, fetch, tuple, inter.counts[ti], &scratch)
 		}
 	})
 	final := tables[0]
 	var resizes int64
-	for _, t := range tables[1:] {
+	for w, t := range tables[1:] {
 		resizes += int64(t.resizes)
-		final.absorb(t, q.Aggs)
+		accs[0] = absorb(final, accs[0], t, accs[w+1], q.Aggs)
 	}
-	return final, resizes + int64(final.resizes)
-}
-
-// globalAgg accumulates the no-GROUP-BY aggregates into per-worker
-// accumulator blocks merged into the first worker's block in worker order.
-func globalAgg(q *Query, states []*scanState, inter *intermediate, ex *execCtx) []aggAcc {
-	n := len(inter.tuples)
-	chunks := numChunks(n, tupleChunk)
-	workers := ex.fanout(chunks)
-	blocks := make([][]aggAcc, workers)
-	for w := range blocks {
-		blocks[w] = newAccs(q.Aggs)
-	}
-	views := multiViews(states, workers)
-	par.Strided(workers, chunks, func(w, c int) {
-		accs, fetch := blocks[w], fetcher(q, inter, views[w])
-		lo, hi := chunkBounds(n, tupleChunk, c)
-		for ti := lo; ti < hi; ti++ {
-			updateAccs(accs, q.Aggs, fetch, inter.tuples[ti], inter.counts[ti])
-		}
-	})
-	out := blocks[0]
-	for _, accs := range blocks[1:] {
-		mergeAccs(out, accs, q.Aggs)
-	}
-	return out
+	return final, accs[0], resizes + int64(final.resizes)
 }
 
 // fetcher returns a reader of group keys and aggregate inputs through
